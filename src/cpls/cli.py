@@ -37,6 +37,7 @@ from .experiments import (
     emit_beam,
     quantile_box,
     rep_seed,
+    run_cells,
     run_experiment,
 )
 from .selection import (
@@ -265,25 +266,21 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _experiment_config(settings)
     out = _out_dir(args)
+    cells = [(m, y, n) for m in (1, 2, 3) for y in ("A", "B") for n in (400, 1000)]
     rows = []
-    for model_id in (1, 2, 3):
-        for y_type in ("A", "B"):
-            for n_paths in (400, 1000):
-                report = run_experiment(
-                    model_id, y_type, n_paths, settings["reps"], settings["seed"],
-                    config, workers=settings["threads"],
-                )
-                s = report.summary
-                rows.append([
-                    model_id, y_type, n_paths,
-                    s.get("mse100_a_mean", math.nan), s.get("mse100_a_std", math.nan),
-                    s.get("mse100_oracle_a_mean", math.nan), s.get("mse100_oracle_a_std", math.nan),
-                    s.get("dim_a_mean", math.nan), s.get("dim_oracle_a_mean", math.nan),
-                    s.get("mse100_b_mean", math.nan), s.get("mse100_b_std", math.nan),
-                    s.get("mse100_oracle_b_mean", math.nan), s.get("mse100_oracle_b_std", math.nan),
-                    s.get("dim_b_mean", math.nan), s.get("dim_oracle_b_mean", math.nan),
-                ])
-                print(f"done: model {model_id}, Y ({y_type}), N = {n_paths}")
+    for report in run_cells(cells, settings["reps"], settings["seed"], config,
+                            workers=settings["threads"]):
+        s = report.summary
+        rows.append([
+            report.model_id, report.y_type, report.n_paths,
+            s.get("mse100_a_mean", math.nan), s.get("mse100_a_std", math.nan),
+            s.get("mse100_oracle_a_mean", math.nan), s.get("mse100_oracle_a_std", math.nan),
+            s.get("dim_a_mean", math.nan), s.get("dim_oracle_a_mean", math.nan),
+            s.get("mse100_b_mean", math.nan), s.get("mse100_b_std", math.nan),
+            s.get("mse100_oracle_b_mean", math.nan), s.get("mse100_oracle_b_std", math.nan),
+            s.get("dim_b_mean", math.nan), s.get("dim_oracle_b_mean", math.nan),
+        ])
+        print(f"done: model {report.model_id}, Y ({report.y_type}), N = {report.n_paths}")
     _write_csv(out / "table1.csv", _TABLE1_HEADER, rows)
     _write_meta(out / "table1_meta.json", settings, {"rows": len(rows)})
     print(f"wrote {out / 'table1.csv'} ({len(rows)} rows)")

@@ -10,7 +10,10 @@ closed form
 with multiplier ``lambda = -2 (d' G^{-1} z) / (d' G^{-1} d)``. When d = 0 the
 constraint is vacuous and theta = G^{-1} z. Solves use a Cholesky
 factorization with one step of iterative refinement, falling back to a
-symmetric indefinite solve when the Gram is nearly singular.
+symmetric indefinite solve when the Gram is nearly singular. Because the
+Cholesky factor of a leading block of G is the leading block of G's factor,
+:func:`fit_leading_blocks` solves every leading block of one system from a
+single factorization.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .bases import BasisFamily, eval_matrix, sup_norm_bound
 from .design import DesignSystem, DimPair, inv_opnorm
@@ -50,24 +54,88 @@ class FitResult:
         return cls(dims=dims, theta=np.zeros(dims.total), truncated=True)
 
 
-def _solver(gram: np.ndarray):
-    """Return a refine-once linear solver for the symmetric matrix ``gram``."""
-    try:
-        cho = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+def _cholesky_solver(gram: np.ndarray, mask: np.ndarray):
+    """Refine-once solver for the leading blocks of ``gram``, or None if not positive definite.
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            sol = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-            sol += scipy.linalg.cho_solve(cho, rhs - gram @ sol, check_finite=False)
-            return sol
+    Column j of a right-hand side belongs to the leading block whose size is
+    the number of True entries of ``mask[:, j]`` (a leading run). The
+    Cholesky factor of a leading block is the leading block of the factor,
+    so one factorization serves every column; the forward-solve result is
+    cut to the column's size before the back-solve, which then returns the
+    block's solution padded with zeros.
+    """
+    chol, info = scipy.linalg.lapack.dpotrf(gram, lower=1)
+    if info != 0:
+        return None
 
-    except scipy.linalg.LinAlgError:
-        # Marginal smallest eigenvalue: pivoted symmetric indefinite solve.
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            sol = scipy.linalg.solve(gram, rhs, assume_a="sym", check_finite=False)
-            sol += scipy.linalg.solve(gram, rhs - gram @ sol, assume_a="sym", check_finite=False)
-            return sol
+    def solve_once(rhs: np.ndarray) -> np.ndarray:
+        y = scipy.linalg.solve_triangular(chol, rhs, lower=True, check_finite=False)
+        y[~mask] = 0.0
+        return scipy.linalg.solve_triangular(chol, y, lower=True, trans="T", check_finite=False)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        sol = solve_once(rhs)
+        sol += solve_once(np.where(mask, rhs - gram @ sol, 0.0))
+        return sol
 
     return solve
+
+
+def _indefinite_solver(gram: np.ndarray):
+    """Refine-once pivoted symmetric indefinite solver, for a marginal Gram."""
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        sol = scipy.linalg.solve(gram, rhs, assume_a="sym", check_finite=False)
+        sol += scipy.linalg.solve(gram, rhs - gram @ sol, assume_a="sym", check_finite=False)
+        return sol
+
+    return solve
+
+
+def _colsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise inner products of two equally shaped matrices."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _minimizers(gram: np.ndarray, z: np.ndarray, d: np.ndarray, solve):
+    """(theta, lambda, gamma) of the closed form, one column per column of ``z`` and ``d``."""
+    n_cols = z.shape[1]
+    sol = solve(np.concatenate([z, d], axis=1))
+    u, v = sol[:, :n_cols], sol[:, n_cols:]
+    has_d = np.any(d, axis=0)
+    ratio = np.zeros(n_cols)
+    ratio[has_d] = _colsum(d, u)[has_d] / _colsum(d, v)[has_d]
+    theta = u - ratio * v
+    lam = np.where(has_d, -2.0 * ratio, 0.0)
+    return theta, lam, -_colsum(theta, gram @ theta)
+
+
+def _leading_blocks(system: DesignSystem, sizes):
+    """(mask, z, d) for the leading blocks of ``system`` of the given sizes.
+
+    Entry (i, j) of the mask is True when i < sizes[j]; column j of ``z``
+    and ``d`` is ``zvec[:sizes[j]]`` and ``dvec[:sizes[j]]`` padded with zeros.
+    """
+    mask = np.arange(system.size)[:, None] < np.asarray(sizes)[None, :]
+    z = np.where(mask, system.zvec[:, None], 0.0)
+    return mask, z, np.where(mask, system.dvec[:, None], 0.0)
+
+
+def fit_leading_blocks(system: DesignSystem, sizes):
+    """Constrained minimizers on the leading blocks of ``system`` of the given sizes.
+
+    Returns ``(theta, lam, gamma)``: column j of ``theta`` (shape
+    ``(size, len(sizes))``) holds the minimizer on the leading block of size
+    ``sizes[j]``, padded with zeros, and ``lam[j]``, ``gamma[j]`` its
+    multiplier and contrast. One Cholesky factorization of the whole Gram
+    serves every block, and all solves run as two batched triangular solves
+    plus one refinement step. Returns None when that factorization fails.
+    """
+    mask, z, d = _leading_blocks(system, sizes)
+    solve = _cholesky_solver(system.gram, np.concatenate([mask, mask], axis=1))
+    if solve is None:
+        return None
+    return _minimizers(system.gram, z, d, solve)
 
 
 def solve_constrained(system: DesignSystem, check_singular: bool = True) -> FitResult:
@@ -82,31 +150,50 @@ def solve_constrained(system: DesignSystem, check_singular: bool = True) -> FitR
         raise SingularDesignError(
             f"Gram matrix at dims {system.dims} is numerically singular"
         )
-    solve = _solver(system.gram)
-    u = solve(system.zvec)
-    d = system.dvec
-    if not np.any(d):
-        theta = u
-        lam = 0.0
-    else:
-        v = solve(d)
-        ratio = float(d @ u) / float(d @ v)
-        theta = u - ratio * v
-        lam = -2.0 * ratio
-    gamma = -float(theta @ (system.gram @ theta))
+    solved = fit_leading_blocks(system, [system.size])
+    if solved is None:
+        # Marginal smallest eigenvalue: pivoted symmetric indefinite solve.
+        solved = _minimizers(
+            system.gram,
+            system.zvec[:, None],
+            system.dvec[:, None],
+            _indefinite_solver(system.gram),
+        )
+    theta, lam, gamma = solved
     return FitResult(
         dims=system.dims,
-        theta=theta,
+        theta=theta[:, 0],
         truncated=False,
-        lambda_multiplier=lam,
-        gamma_value=gamma,
+        lambda_multiplier=float(lam[0]),
+        gamma_value=float(gamma[0]),
     )
 
 
-def quadratic_objective(system: DesignSystem, theta: np.ndarray) -> float:
-    """The empirical contrast J(theta) = theta' G theta - 2 theta' z."""
-    theta = np.asarray(theta, dtype=float)
-    return float(theta @ (system.gram @ theta) - 2.0 * (theta @ system.zvec))
+def leading_block_residuals(
+    system: DesignSystem, theta: np.ndarray, lam: np.ndarray, sizes
+) -> dict[str, np.ndarray]:
+    """The residuals of :func:`fit_residuals`, one per column of ``theta``.
+
+    Column j of ``theta`` is a fit on the leading block of size ``sizes[j]``,
+    padded with zeros, and ``lam[j]`` its multiplier.
+    """
+    mask, z, d = _leading_blocks(system, sizes)
+    tiny = 1e-300
+    g_theta = np.where(mask, system.gram @ theta, 0.0)
+
+    def norm(a: np.ndarray) -> np.ndarray:
+        return np.sqrt(_colsum(a, a))
+
+    constraint = np.abs(_colsum(theta, d)) / np.maximum(norm(theta) * norm(d), tiny)
+    r = g_theta - z
+    optimality = np.abs(_colsum(theta, r)) / np.maximum(
+        np.maximum(np.abs(_colsum(theta, g_theta)), np.abs(_colsum(theta, z))), tiny
+    )
+    kkt = norm(2.0 * r - lam * d) / np.maximum(
+        np.maximum(2.0 * norm(g_theta), 2.0 * norm(z)),
+        np.maximum(np.abs(lam) * norm(d), tiny),
+    )
+    return {"constraint": constraint, "optimality": optimality, "kkt": kkt}
 
 
 def fit_residuals(system: DesignSystem, fit: FitResult) -> dict[str, float]:
@@ -118,25 +205,10 @@ def fit_residuals(system: DesignSystem, fit: FitResult) -> dict[str, float]:
 
     All scales are floored to avoid division by zero for the zero fit.
     """
-    theta = fit.theta
-    d = system.dvec
-    tiny = 1e-300
-    g_theta = system.gram @ theta
-    constraint = abs(float(theta @ d)) / max(
-        float(np.linalg.norm(theta)) * float(np.linalg.norm(d)), tiny
+    res = leading_block_residuals(
+        system, fit.theta[:, None], np.array([fit.lambda_multiplier]), [system.size]
     )
-    r = g_theta - system.zvec
-    optimality = abs(float(theta @ r)) / max(
-        abs(float(theta @ g_theta)), abs(float(theta @ system.zvec)), tiny
-    )
-    kkt_vec = 2.0 * r - fit.lambda_multiplier * d
-    kkt = float(np.linalg.norm(kkt_vec)) / max(
-        2.0 * float(np.linalg.norm(g_theta)),
-        2.0 * float(np.linalg.norm(system.zvec)),
-        abs(fit.lambda_multiplier) * float(np.linalg.norm(d)),
-        tiny,
-    )
-    return {"constraint": constraint, "optimality": optimality, "kkt": kkt}
+    return {key: float(val[0]) for key, val in res.items()}
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -265,6 +265,50 @@ def _attach_curves(report: ExperimentReport) -> None:
     }
 
 
+def run_cells(
+    cells: Sequence[tuple[int, str, int]],
+    reps: int,
+    seed: int,
+    config: ExperimentConfig | None = None,
+    workers: int = 1,
+) -> Iterator[ExperimentReport]:
+    """Reports of several (model_id, y_type, n_paths) cells, yielded in order.
+
+    All ``len(cells) * reps`` repetitions go through one process pool when
+    ``workers > 1`` (and in this process otherwise), so a grid of cells pays
+    for one pool start-up. Each report equals ``run_experiment`` of its cell
+    with the same ``reps``, ``seed`` and ``config``, bit for bit; a report is
+    yielded as soon as its cell's repetitions are done.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    config = config or ExperimentConfig()
+    tasks = [
+        _RepTask(model_id=model_id, y_type=y_type, n_paths=n_paths, rep=r,
+                 master_seed=seed, config=config)
+        for model_id, y_type, n_paths in cells
+        for r in range(reps)
+    ]
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and len(tasks) > 1:
+            pool = stack.enter_context(worker_pool(workers))
+            records = pool.map(_run_rep, tasks, chunksize=1)
+        else:
+            records = map(_run_rep, tasks)
+        for model_id, y_type, n_paths in cells:
+            per_rep = [next(records) for _ in range(reps)]
+            yield ExperimentReport(
+                model_id=model_id,
+                y_type=y_type,
+                n_paths=n_paths,
+                reps=reps,
+                seed=seed,
+                config=config,
+                per_rep=per_rep,
+                summary=summarize(per_rep),
+            )
+
+
 def run_experiment(
     model_id: int,
     y_type: str,
@@ -284,30 +328,8 @@ def run_experiment(
     that fail inside the simulator are recorded and excluded from the
     summary rather than aborting the run.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    config = config or ExperimentConfig()
-    tasks = [
-        _RepTask(model_id=model_id, y_type=y_type, n_paths=n_paths, rep=r,
-                 master_seed=seed, config=config)
-        for r in range(reps)
-    ]
-    if workers > 1 and reps > 1:
-        with worker_pool(workers) as pool:
-            per_rep = list(pool.map(_run_rep, tasks, chunksize=1))
-    else:
-        per_rep = [_run_rep(t) for t in tasks]
-    per_rep.sort(key=lambda r: r.rep)
-    report = ExperimentReport(
-        model_id=model_id,
-        y_type=y_type,
-        n_paths=n_paths,
-        reps=reps,
-        seed=seed,
-        config=config,
-        per_rep=per_rep,
-        summary=summarize(per_rep),
-    )
+    # Unpacking runs the generator to its end, which shuts the pool down.
+    (report,) = run_cells([(model_id, y_type, n_paths)], reps, seed, config, workers)
     if keep_curves:
         _attach_curves(report)
     return report

@@ -27,8 +27,3 @@ def simpson_grid(a: float, b: float, n_nodes: int = 2001) -> tuple[np.ndarray, n
     w[0] = w[-1] = 1.0
     return x, w * (h / 3.0)
 
-
-def composite_simpson(f, a: float, b: float, n_nodes: int = 2001) -> float:
-    """Integrate a vectorized callable over [a, b] with composite Simpson."""
-    x, w = simpson_grid(a, b, n_nodes)
-    return float(w @ np.asarray(f(x), dtype=float))

@@ -1,9 +1,24 @@
 """Adaptive dimension selection and the truth-based oracle selector.
 
-Both selectors scan every dimension pair in [1, max_m1] x [1, max_m2] that
-passes the stability event, fitting each admissible pair once from a single
-cached design assembly at the maximal dimensions (the projection spaces are
-nested, so sub-designs are sub-blocks).
+Both selectors read one scan of the dimension pairs in
+[1, max_m1] x [1, max_m2] that pass the stability event. The projection
+spaces are nested, so the scan assembles the design once, at the maximal
+dimensions, and works per m1: with the coordinates ordered
+[phi_1..phi_m1, psi_1..psi_max_m2], every pair (m1, m2) is a leading block
+of one system.
+
+* The admissible set is found on its frontier alone. Both stability rules
+  reduce to "the smallest Gram eigenvalue is at least a threshold", and the
+  threshold never decreases as m1 + m2 grows (``1e-12 k`` and
+  ``k log N / (cutoff N)`` in the practical rule, a sum of squared basis
+  functions in the theoretical one). By Cauchy interlacing the smallest
+  eigenvalue of a principal block is at least that of the whole matrix, so
+  the admissible pairs form a down-set: if (m1, m2) passes, so does every
+  smaller pair. A staircase walk, lowering m2 from max_m2 while the event
+  fails and moving on to the next m1, decides the whole rectangle with at
+  most max_m1 + max_m2 stability events.
+* Every admissible pair of one m1 is fitted from one Cholesky factor of the
+  system up to the frontier (:func:`cpls.estimator.fit_leading_blocks`).
 
 The adaptive criterion is ``gamma + pen`` with ``gamma = -|fit|_N^2`` and
 ``pen = kappa * sigma_sq * (m1 + m2) / (N * T0)``. The oracle criterion is
@@ -24,7 +39,9 @@ from .design import DesignSystem, DimPair, build_design, subsystem
 from .estimator import (
     FitResult,
     StabilityRule,
+    fit_leading_blocks,
     fit_residuals,
+    leading_block_residuals,
     solve_constrained,
     stability_event,
 )
@@ -119,70 +136,121 @@ def _scan_order(max_m1: int, max_m2: int) -> list[DimPair]:
     return pairs
 
 
+_RESIDUAL_KEYS = ("constraint", "optimality", "kkt")
+
+
+def _fit_block(block: DesignSystem) -> tuple[list[FitResult], dict[str, float]]:
+    """Fits of every pair (m1, 1..m2) of ``block`` = the system at (m1, m2).
+
+    Also returns the largest residual of each kind over those fits.
+    """
+    m1, top = block.dims
+    m2s = range(1, top + 1)
+    sizes = [m1 + m2 for m2 in m2s]
+    solved = fit_leading_blocks(block, sizes)
+    if solved is None:
+        # The factorization failed: pair by pair, each with its own fallback.
+        pairs = [subsystem(block, DimPair(m1, m2)) for m2 in m2s]
+        fits = [solve_constrained(pair, check_singular=False) for pair in pairs]
+        res = [fit_residuals(pair, fit) for pair, fit in zip(pairs, fits)]
+        return fits, {key: max(r[key] for r in res) for key in _RESIDUAL_KEYS}
+    theta, lam, gamma = solved
+    fits = [
+        FitResult(
+            dims=DimPair(m1, m2),
+            theta=theta[:size, j].copy(),
+            lambda_multiplier=float(lam[j]),
+            gamma_value=float(gamma[j]),
+        )
+        for j, (m2, size) in enumerate(zip(m2s, sizes))
+    ]
+    res = leading_block_residuals(block, theta, lam, sizes)
+    return fits, {key: float(res[key].max()) for key in _RESIDUAL_KEYS}
+
+
+def scan_design(
+    design: DesignSystem,
+    n_paths: int,
+    phi: BasisFamily,
+    psi: BasisFamily,
+    config: SelectionConfig,
+) -> DimensionScan:
+    """Fit every admissible pair of the rectangle [1, M1] x [1, M2] = ``design.dims``.
+
+    The stability event runs only along the frontier of the admissible
+    set (at most M1 + M2 calls): the set is a down-set (see the module
+    docstring), so a pair below the frontier passes and a pair above it
+    fails. Per m1, one Cholesky factor of the system up to the frontier
+    fits every admissible m2.
+    """
+    max_m1, max_m2 = design.dims
+    frontier = {}
+    fitted: dict[DimPair, FitResult] = {}
+    max_res = dict.fromkeys(_RESIDUAL_KEYS, 0.0)
+    m2 = max_m2
+    for m1 in range(1, max_m1 + 1):
+        # Every pair (m1, m2) is a leading block of this system.
+        block = subsystem(design, DimPair(m1, max_m2))
+        while m2 > 0 and not stability_event(
+            subsystem(block, DimPair(m1, m2)), n_paths, config.stability, phi, psi
+        ):
+            m2 -= 1
+        if m2 == 0:
+            break
+        frontier[m1] = m2
+        fits, res = _fit_block(subsystem(block, DimPair(m1, m2)))
+        fitted.update((fit.dims, fit) for fit in fits)
+        max_res = {key: max(max_res[key], res[key]) for key in _RESIDUAL_KEYS}
+    order = _scan_order(max_m1, max_m2)
+    admissible = {dims: dims.m2 <= frontier.get(dims.m1, 0) for dims in order}
+    return DimensionScan(
+        design=design,
+        phi=phi,
+        psi=psi,
+        n_paths=n_paths,
+        config=config,
+        fits={dims: fitted[dims] for dims in order if admissible[dims]},
+        admissible=admissible,
+        max_residuals=max_res,
+    )
+
+
 def scan_dimension_grid(
     sample: PathSample,
     phi: BasisFamily,
     psi: BasisFamily,
     config: SelectionConfig,
 ) -> DimensionScan:
-    """Fit every admissible pair in the scan rectangle, sharing one design."""
+    """Fit every admissible pair in the scan rectangle, sharing one design.
+
+    The design is assembled once at the scan bounds (each capped at the
+    number of paths); :func:`scan_design` does the rest.
+    """
     n = sample.n_paths
-    max_m1 = min(config.max_m1, n)
-    max_m2 = min(config.max_m2, n)
-    design = build_design(
-        sample, phi, psi, DimPair(max_m1, max_m2), config.resolve_t_norm(sample)
-    )
-    # Per m1, the system keeping x-members 1..m1 and every y-member; each
-    # pair (m1, m2) is then a leading block of it, taken without copying.
-    by_m1 = {m1: subsystem(design, DimPair(m1, max_m2)) for m1 in range(1, max_m1 + 1)}
-    fits: dict[DimPair, FitResult] = {}
-    admissible: dict[DimPair, bool] = {}
-    max_res = {"constraint": 0.0, "optimality": 0.0, "kkt": 0.0}
-    for dims in _scan_order(max_m1, max_m2):
-        sub = subsystem(by_m1[dims.m1], dims)
-        ok = stability_event(sub, n, config.stability, phi, psi)
-        admissible[dims] = ok
-        if not ok:
-            continue
-        fit = solve_constrained(sub, check_singular=False)
-        fits[dims] = fit
-        res = fit_residuals(sub, fit)
-        for key in max_res:
-            max_res[key] = max(max_res[key], res[key])
-    return DimensionScan(
-        design=design,
-        phi=phi,
-        psi=psi,
-        n_paths=n,
-        config=config,
-        fits=fits,
-        admissible=admissible,
-        max_residuals=max_res,
-    )
+    bounds = DimPair(min(config.max_m1, n), min(config.max_m2, n))
+    design = build_design(sample, phi, psi, bounds, config.resolve_t_norm(sample))
+    return scan_design(design, n, phi, psi, config)
 
 
-def _argmin_table(table: dict[DimPair, TableEntry]) -> DimPair | None:
-    best: DimPair | None = None
-    best_val = math.inf
-    for dims in sorted(table, key=lambda d: (d.total, d.m1, d.m2)):
-        entry = table[dims]
-        if not entry.admissible:
-            continue
-        if entry.criterion < best_val:
-            best, best_val = dims, entry.criterion
-    return best
+def _select(scan: DimensionScan, gamma, penalty) -> SelectionResult:
+    """Minimize ``gamma(dims) + penalty(dims)`` over the admissible pairs.
 
-
-def select_adaptive_from_scan(scan: DimensionScan) -> SelectionResult:
+    ``scan.admissible`` is in scan order, so the first minimum met carries
+    the tie-break.
+    """
     table = {
         dims: TableEntry(
-            gamma=scan.fits[dims].gamma_value if ok else math.nan,
-            penalty=scan.penalty(dims),
+            gamma=gamma(dims) if ok else math.nan,
+            penalty=penalty(dims),
             admissible=ok,
         )
         for dims, ok in scan.admissible.items()
     }
-    chosen = _argmin_table(table)
+    chosen: DimPair | None = None
+    best = math.inf
+    for dims, entry in table.items():
+        if entry.admissible and entry.criterion < best:
+            chosen, best = dims, entry.criterion
     if chosen is None:
         return SelectionResult(
             chosen=DimPair(1, 1),
@@ -191,6 +259,10 @@ def select_adaptive_from_scan(scan: DimensionScan) -> SelectionResult:
             admissible_any=False,
         )
     return SelectionResult(chosen=chosen, criterion_table=table, fit=scan.fits[chosen])
+
+
+def select_adaptive_from_scan(scan: DimensionScan) -> SelectionResult:
+    return _select(scan, lambda dims: scan.fits[dims].gamma_value, scan.penalty)
 
 
 def select_adaptive(
@@ -206,7 +278,11 @@ def select_adaptive(
 def oracle_errors(
     scan: DimensionScan, truth: SdeModel, bounds
 ) -> dict[DimPair, tuple[float, float]]:
-    """Box-restricted squared errors (a-part, b-part) of every fitted pair."""
+    """Box-restricted squared errors (a-part, b-part) of every fitted pair.
+
+    The fits sharing an m1 are evaluated together, one matrix product per
+    component.
+    """
     xg, wx = simpson_grid(bounds.a_x, bounds.b_x, ORACLE_NODES)
     yg, wy = simpson_grid(bounds.a_y, bounds.b_y, ORACLE_NODES)
     big = scan.design.dims
@@ -214,33 +290,28 @@ def oracle_errors(
     by = eval_matrix(scan.psi, big.m2, yg)
     a_true = np.asarray(truth.a(xg), dtype=float)
     b_true = np.asarray(truth.b(yg), dtype=float)
+    by_m1: dict[int, list[FitResult]] = {}
+    for fit in scan.fits.values():
+        by_m1.setdefault(fit.dims.m1, []).append(fit)
     errors = {}
-    for dims, fit in scan.fits.items():
-        ra = bx[:, : dims.m1] @ fit.theta[: dims.m1] - a_true
-        rb = by[:, : dims.m2] @ fit.theta[dims.m1 :] - b_true
-        errors[dims] = (float(wx @ (ra * ra)), float(wy @ (rb * rb)))
-    return errors
+    for m1, fits in by_m1.items():
+        theta_a = np.column_stack([fit.theta[:m1] for fit in fits])
+        theta_b = np.zeros((big.m2, len(fits)))
+        for j, fit in enumerate(fits):
+            theta_b[: fit.dims.m2, j] = fit.theta[m1:]
+        ra = bx[:, :m1] @ theta_a - a_true[:, None]
+        rb = by @ theta_b - b_true[:, None]
+        # einsum, not a BLAS product: its sums do not depend on the thread count
+        err_a = np.einsum("i,ij->j", wx, ra * ra)
+        err_b = np.einsum("i,ij->j", wy, rb * rb)
+        for j, fit in enumerate(fits):
+            errors[fit.dims] = (float(err_a[j]), float(err_b[j]))
+    return {dims: errors[dims] for dims in scan.fits}
 
 
 def select_oracle_from_scan(scan: DimensionScan, truth: SdeModel, bounds) -> SelectionResult:
     errors = oracle_errors(scan, truth, bounds)
-    table = {
-        dims: TableEntry(
-            gamma=sum(errors[dims]) if ok else math.nan,
-            penalty=0.0,
-            admissible=ok,
-        )
-        for dims, ok in scan.admissible.items()
-    }
-    chosen = _argmin_table(table)
-    if chosen is None:
-        return SelectionResult(
-            chosen=DimPair(1, 1),
-            criterion_table=table,
-            fit=FitResult.zero(DimPair(1, 1)),
-            admissible_any=False,
-        )
-    return SelectionResult(chosen=chosen, criterion_table=table, fit=scan.fits[chosen])
+    return _select(scan, lambda dims: sum(errors[dims]), lambda dims: 0.0)
 
 
 def select_oracle(

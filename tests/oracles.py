@@ -31,3 +31,69 @@ def riemann_gram_entry(x_paths, y_paths, f, g, dt, t_norm):
         for xv, yv in zip(xs, ys):
             total += f(xv, yv) * g(xv, yv) * dt
     return total / (len(x_paths) * t_norm)
+
+
+def quadratic_objective(system, theta: np.ndarray) -> float:
+    """The empirical contrast J(theta) = theta' G theta - 2 theta' z."""
+    theta = np.asarray(theta, dtype=float)
+    return float(theta @ (system.gram @ theta) - 2.0 * (theta @ system.zvec))
+
+
+def solve_pair(gram: np.ndarray, zvec: np.ndarray, dvec: np.ndarray) -> tuple[np.ndarray, float]:
+    """(theta, lambda) of the Lagrangian closed form by dense LU solves, refined once."""
+
+    def solve(rhs):
+        sol = np.linalg.solve(gram, rhs)
+        return sol + np.linalg.solve(gram, rhs - gram @ sol)
+
+    u = solve(zvec)
+    if not np.any(dvec):
+        return u, 0.0
+    v = solve(dvec)
+    ratio = float(dvec @ u) / float(dvec @ v)
+    return u - ratio * v, -2.0 * ratio
+
+
+def pair_residuals(gram, zvec, dvec, theta, lam) -> dict[str, float]:
+    """Constraint, optimality and KKT residuals of one fit, as criterion 5 defines them."""
+    tiny = 1e-300
+    g_theta = gram @ theta
+    r = g_theta - zvec
+    norm = np.linalg.norm
+    kkt_scale = max(2.0 * norm(g_theta), 2.0 * norm(zvec), abs(lam) * norm(dvec), tiny)
+    return {
+        "constraint": abs(float(theta @ dvec)) / max(float(norm(theta) * norm(dvec)), tiny),
+        "optimality": abs(float(theta @ r))
+        / max(abs(float(theta @ g_theta)), abs(float(theta @ zvec)), tiny),
+        "kkt": float(norm(2.0 * r - lam * dvec)) / float(kkt_scale),
+    }
+
+
+def scan_pairwise(design, n_paths, phi, psi, config, event=None):
+    """The dimension scan pair by pair: a stability event and a dense solve for every pair.
+
+    Walks every (m1, m2) of ``design.dims`` in scan order and applies the
+    definitions directly, with no use of the nesting between pairs. Returns
+    ``(admissible, fits, max_residuals)`` with ``fits`` mapping each
+    admissible pair to ``(theta, lambda, gamma)``. ``event`` replaces
+    :func:`cpls.estimator.stability_event`.
+    """
+    from cpls.design import DimPair, subsystem
+    from cpls.estimator import stability_event
+
+    event = event or stability_event
+    big = design.dims
+    pairs = [DimPair(m1, m2) for m1 in range(1, big.m1 + 1) for m2 in range(1, big.m2 + 1)]
+    pairs.sort(key=lambda d: (d.total, d.m1, d.m2))
+    admissible, fits = {}, {}
+    max_res = {"constraint": 0.0, "optimality": 0.0, "kkt": 0.0}
+    for dims in pairs:
+        sub = subsystem(subsystem(design, DimPair(dims.m1, big.m2)), dims)
+        admissible[dims] = event(sub, n_paths, config.stability, phi, psi)
+        if not admissible[dims]:
+            continue
+        theta, lam = solve_pair(sub.gram, sub.zvec, sub.dvec)
+        fits[dims] = (theta, lam, -float(theta @ (sub.gram @ theta)))
+        res = pair_residuals(sub.gram, sub.zvec, sub.dvec, theta, lam)
+        max_res = {key: max(max_res[key], res[key]) for key in max_res}
+    return admissible, fits, max_res

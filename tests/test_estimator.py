@@ -11,14 +11,13 @@ from cpls.estimator import (
     StabilityRule,
     evaluate_fit,
     fit_residuals,
-    quadratic_objective,
     solve_constrained,
     stability_event,
 )
 from cpls.quadrature import simpson_grid
 from cpls.simulate import GridSpec, explanatory_by_name, generate_sample, make_model
 
-from oracles import constrained_qp_nullspace
+from oracles import constrained_qp_nullspace, quadratic_objective
 
 
 def make_system(gram, zvec, dvec, dims=None):

@@ -14,6 +14,7 @@ from cpls.experiments import (
     mse_box,
     quantile_box,
     rep_seed,
+    run_cells,
     run_experiment,
     summarize,
     worker_pool,
@@ -131,6 +132,28 @@ class TestRunExperiment:
             spawned = pool.submit(build_design, sample, HERMITE, HERMITE, dims).result()
         np.testing.assert_array_equal(serial.gram, spawned.gram)
         np.testing.assert_array_equal(serial.zvec, spawned.zvec)
+
+    def test_cells_share_one_pool_and_match_serial_runs(self, monkeypatch):
+        import cpls.experiments as expmod
+
+        pools = []
+        real_pool = expmod.worker_pool
+
+        def counting_pool(workers):
+            pools.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(expmod, "worker_pool", counting_pool)
+        cells = [(1, "A", 8), (2, "B", 10), (3, "B", 8)]
+        pooled = list(run_cells(cells, 2, seed=6, config=tiny_config(), workers=2))
+        assert pools == [2]
+        for (model_id, y_type, n_paths), report in zip(cells, pooled):
+            serial = run_experiment(model_id, y_type, n_paths, 2, seed=6, config=tiny_config())
+            assert (report.model_id, report.y_type, report.n_paths) == (model_id, y_type, n_paths)
+            assert report.summary == serial.summary
+            for a, b in zip(serial.per_rep, report.per_rep):
+                assert a.rep == b.rep and a.dims == b.dims and a.oracle_dims == b.oracle_dims
+                np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_summary_recomputable_from_per_rep(self):
         report = run_experiment(2, "B", 10, 5, seed=9, config=tiny_config())
