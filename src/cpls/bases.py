@@ -123,41 +123,55 @@ def _laguerre_columns(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _hermite_rows(x: np.ndarray, m: int) -> np.ndarray:
-    # Member-major layout: each recurrence step writes one contiguous row,
-    # in place, with the same operation order as the textbook expression
+def _hermite_rows(x: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    # Member-major layout: each recurrence step writes one row of ``out``
+    # (shape ``(m,) + x.shape``), in place, with the same operation order as
+    # the textbook expression
     # h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}.
-    shape = x.shape
-    x = x.reshape(-1)
-    out = np.empty((m, x.size))
-    np.multiply(-0.5 * x, x, out=out[0])
-    np.exp(out[0], out=out[0])
-    out[0] *= math.pi ** -0.25
+    # Rows are taken as ``out[k, ...]``, a view even when ``x`` is 0-d.
+    if out is None:
+        out = np.empty((m,) + x.shape)
+    np.multiply(-0.5 * x, x, out=out[0, ...])
+    np.exp(out[0, ...], out=out[0, ...])
+    out[0, ...] *= math.pi ** -0.25
     if m > 1:
-        np.multiply(SQRT2 * x, out[0], out=out[1])
-    tmp = np.empty(x.size)
+        np.multiply(SQRT2 * x, out[0, ...], out=out[1, ...])
+    tmp = np.empty(x.shape)
     for k in range(1, m - 1):
-        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=out[k + 1])
-        out[k + 1] *= out[k]
-        np.multiply(out[k - 1], math.sqrt(k / (k + 1)), out=tmp)
-        out[k + 1] -= tmp
-    return out.reshape((m,) + shape)
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=out[k + 1, ...])
+        out[k + 1, ...] *= out[k, ...]
+        np.multiply(out[k - 1, ...], math.sqrt(k / (k + 1)), out=tmp)
+        out[k + 1, ...] -= tmp
+    return out
 
 
-def eval_rows(family: BasisFamily, m: int, x: np.ndarray) -> np.ndarray:
+def eval_rows(
+    family: BasisFamily, m: int, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """:func:`eval_matrix` in member-major layout, shape ``(m,) + x.shape``.
 
     Entry ``[k, ...]`` is member ``k + 1`` at ``x``; the values are bitwise
     those of :func:`eval_matrix`. The result is C-contiguous, so each member
     is one contiguous row, which is the cheap layout to fill and to take
     ``V @ V.T`` products of.
+
+    With ``out`` (shape ``(m,) + x.shape``, for instance a block of rows of
+    a larger buffer), the values are written into it and ``out`` is
+    returned. The Hermite recurrence then fills ``out`` in place with no
+    intermediate array; the other families evaluate and copy.
     """
     x = np.asarray(x, dtype=float)
+    if out is not None and out.shape != (m,) + x.shape:
+        raise ValueError(f"out must have shape {(m,) + x.shape}, got {out.shape}")
     if m > 0 and family.kind is BasisKind.HERMITE:
         if not np.all(np.isfinite(x)):
             raise ValueError("basis evaluation requires finite arguments")
-        return _hermite_rows(x, _check_m(m))
-    return np.ascontiguousarray(np.moveaxis(eval_matrix(family, m, x), -1, 0))
+        return _hermite_rows(x, _check_m(m), out)
+    rows = np.moveaxis(eval_matrix(family, m, x), -1, 0)
+    if out is None:
+        return np.ascontiguousarray(rows)
+    out[...] = rows
+    return out
 
 
 def eval_matrix(family: BasisFamily, m: int, x: np.ndarray) -> np.ndarray:

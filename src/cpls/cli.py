@@ -22,17 +22,20 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import traceback
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bases import family_by_name, orthonormality_residual
 from .design import subsystem
 from .estimator import SingularDesignError, StabilityRule
 from .experiments import (
+    BLAS_THREAD_VARS,
     ExperimentConfig,
     emit_beam,
     quantile_box,
@@ -160,7 +163,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_meta(path: Path, settings: dict, extra: dict) -> None:
-    meta = {"version": __version__, "settings": settings}
+    meta = {
+        "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        # As this process saw them; None means unset (the BLAS default).
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "settings": settings,
+    }
     meta.update(extra)
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
@@ -241,7 +252,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         out / "experiment_meta.json",
         settings,
         {"rep_seeds": [rep_seed(settings["seed"], r) for r in range(settings["reps"])],
-         "n_failed": report.n_failed},
+         "n_failed": report.n_failed, "failures": report.failures},
     )
     if keep_curves and report.curves is not None:
         n_curves = min(settings["curves"], report.curves["a"].shape[0])
@@ -268,6 +279,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     cells = [(m, y, n) for m in (1, 2, 3) for y in ("A", "B") for n in (400, 1000)]
     rows = []
+    failures = {}
     for report in run_cells(cells, settings["reps"], settings["seed"], config,
                             workers=settings["threads"]):
         s = report.summary
@@ -280,9 +292,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             s.get("mse100_oracle_b_mean", math.nan), s.get("mse100_oracle_b_std", math.nan),
             s.get("dim_b_mean", math.nan), s.get("dim_oracle_b_mean", math.nan),
         ])
+        if report.n_failed:
+            failures[f"{report.model_id}{report.y_type}-{report.n_paths}"] = report.failures
         print(f"done: model {report.model_id}, Y ({report.y_type}), N = {report.n_paths}")
     _write_csv(out / "table1.csv", _TABLE1_HEADER, rows)
-    _write_meta(out / "table1_meta.json", settings, {"rows": len(rows)})
+    _write_meta(out / "table1_meta.json", settings, {"rows": len(rows), "failures": failures})
     print(f"wrote {out / 'table1.csv'} ({len(rows)} rows)")
     return 0
 

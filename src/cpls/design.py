@@ -14,6 +14,12 @@ window [t0, T] with left-point Riemann sums:
 normalizes by the full horizon T instead, which callers select via
 ``t_norm``. The quadrature rule for the ds-integrals is configurable
 ("left" or "trapezoid"); the dX-sums are always left-point.
+
+The sums run over blocks of ``_PATH_BLOCK`` paths, in a fixed order, so
+reruns give the same bits. Each block is one reused buffer with one row per
+basis member plus a row of X-increments, and one column per (path, window
+point); a single ``buf @ buf.T`` per block yields both the Gram sums and
+the dX-sums (see :func:`_accumulate`).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 from .bases import BasisFamily, delta_vector, eval_rows
 from .simulate import PathSample
 
-_PATH_BLOCK = 64  # fixed block size => fixed summation order
+_PATH_BLOCK = 32  # fixed block size => fixed summation order
 
 
 @dataclass(frozen=True)
@@ -90,23 +96,29 @@ def _resolve_t_norm(sample: PathSample, t_norm: float | None) -> float:
     return float(t_norm)
 
 
-def _stacked_rows(
-    sample: PathSample, phi: BasisFamily, psi: BasisFamily, dims: DimPair, rows: slice
-) -> np.ndarray:
-    """Basis evaluations on the window's left points, one row per basis member.
+def _path_blocks(
+    sample: PathSample, phi: BasisFamily, psi: BasisFamily, dims: DimPair, extra_rows: int = 0
+):
+    """Yield ``(rows, block)`` for each block of at most ``_PATH_BLOCK`` paths.
 
-    Shape ``(m1 + m2, n_rows * n_window)``; columns run over (path, time).
+    ``block`` has ``m1 + m2 + extra_rows`` rows and one column per (path,
+    window point) of ``rows``, path-major. Its first ``m1 + m2`` rows hold
+    the stacked basis values at the window's left points; the extra rows are
+    left for the caller. Every block is a view of one buffer allocated per
+    call, so a block is overwritten by the next one.
     """
     lo = sample.grid.drop_first
     hi = sample.grid.n_steps
-    xs = sample.x[rows, lo:hi].ravel()
-    ys = sample.y[rows, lo:hi].ravel()
-    v = np.empty((dims.total, xs.size))
-    if dims.m1 > 0:
-        v[: dims.m1] = eval_rows(phi, dims.m1, xs)
-    if dims.m2 > 0:
-        v[dims.m1 :] = eval_rows(psi, dims.m2, ys)
-    return v
+    m1, k = dims.m1, dims.total
+    buf = np.empty((k + extra_rows, min(_PATH_BLOCK, sample.n_paths) * (hi - lo)))
+    for start in range(0, sample.n_paths, _PATH_BLOCK):
+        rows = slice(start, min(start + _PATH_BLOCK, sample.n_paths))
+        block = buf[:, : (rows.stop - rows.start) * (hi - lo)]
+        if m1 > 0:
+            eval_rows(phi, m1, sample.x[rows, lo:hi].ravel(), out=block[:m1])
+        if dims.m2 > 0:
+            eval_rows(psi, dims.m2, sample.y[rows, lo:hi].ravel(), out=block[m1:k])
+        yield rows, block
 
 
 def _accumulate(
@@ -117,33 +129,40 @@ def _accumulate(
     t_norm: float | None,
     rule: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and observation vector from one basis evaluation per block.
+    """Gram matrix and observation vector from one product per path block.
 
-    The dX-sums use ``einsum`` rather than a BLAS matrix-vector product,
-    whose threaded reduction order (and so its last bits) depends on the
-    BLAS thread count; the Gram product ``V @ V.T`` does not.
+    Row ``k = m1 + m2`` of each block holds the X-increments, so one
+    ``block @ block.T`` gives the Gram sums in ``[:k, :k]`` and the dX-sums
+    in ``[:k, k]``. NumPy computes that product with BLAS ``syrk``, which
+    splits the output among its threads, never the sum over columns, so the
+    sums are bitwise the same at every BLAS thread count. Every left-point
+    weight is ``dt``, which multiplies the sums once, at the end; a column
+    whose weight differs (the trapezoid rule's first and last) has the
+    difference subtracted through a product of that column alone.
     """
     _check_dims(sample, dims)
-    t0_norm = _resolve_t_norm(sample, t_norm)
-    sqrt_w = np.sqrt(_time_weights(sample, rule))
+    scale = sample.n_paths * _resolve_t_norm(sample, t_norm)
+    w = _time_weights(sample, rule)
+    dt = sample.grid.dt
+    edges = [(j, dt - w[j]) for j in np.flatnonzero(w != dt)]
     lo = sample.grid.drop_first
     hi = sample.grid.n_steps
     k = dims.total
-    gram = np.zeros((k, k))
-    z = np.zeros(k)
-    for start in range(0, sample.n_paths, _PATH_BLOCK):
-        rows = slice(start, min(start + _PATH_BLOCK, sample.n_paths))
-        v = _stacked_rows(sample, phi, psi, dims, rows)
-        dx = (sample.x[rows, lo + 1 : hi + 1] - sample.x[rows, lo:hi]).ravel()
-        z += np.einsum("kn,n->k", v, dx)
-        v *= np.tile(sqrt_w, rows.stop - rows.start)
-        gram += v @ v.T
-        # Free this block before the next one is built, not after: at 78
-        # members a block is 19 MB, and two alive at once set the peak.
-        del v
-    scale = sample.n_paths * t0_norm
-    gram /= scale
-    return 0.5 * (gram + gram.T), z / scale
+    sums = np.zeros((k + 1, k + 1))
+    excess = np.zeros((k, k))
+    for rows, block in _path_blocks(sample, phi, psi, dims, extra_rows=1):
+        n_rows = rows.stop - rows.start
+        np.subtract(
+            sample.x[rows, lo + 1 : hi + 1],
+            sample.x[rows, lo:hi],
+            out=block[k].reshape(n_rows, hi - lo),
+        )
+        sums += block @ block.T
+        for j, dw in edges:
+            col = block[:k, j :: hi - lo]
+            excess += dw * (col @ col.T)
+    gram = (dt * sums[:k, :k] - excess) / scale
+    return 0.5 * (gram + gram.T), sums[:k, k] / scale
 
 
 def assemble_gram(
@@ -188,15 +207,10 @@ def empirical_norm_sq(
     if coeffs.shape != (dims.total,):
         raise ValueError(f"coeffs must have length {dims.total}, got {coeffs.shape}")
     t0_norm = _resolve_t_norm(sample, t_norm)
-    lo = sample.grid.drop_first
-    hi = sample.grid.n_steps
     w = _time_weights(sample, rule)
     total = 0.0
-    for start in range(0, sample.n_paths, _PATH_BLOCK):
-        rows = slice(start, min(start + _PATH_BLOCK, sample.n_paths))
-        n_rows = rows.stop - rows.start
-        vals = coeffs @ _stacked_rows(sample, phi, psi, dims, rows)
-        vals = vals.reshape(n_rows, hi - lo)
+    for rows, block in _path_blocks(sample, phi, psi, dims):
+        vals = (coeffs @ block).reshape(rows.stop - rows.start, w.size)
         total += float(np.sum((vals * vals) @ w))
     return total / (sample.n_paths * t0_norm)
 

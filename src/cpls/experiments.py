@@ -16,6 +16,7 @@ mean selected dimensions, one block per drift component.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import math
@@ -40,7 +41,6 @@ from .simulate import (
     GridSpec,
     PathSample,
     SdeModel,
-    SimulationError,
     explanatory_by_name,
     generate_sample,
     make_model,
@@ -142,9 +142,15 @@ class ExperimentReport:
     def n_failed(self) -> int:
         return sum(1 for r in self.per_rep if r.failed)
 
+    @property
+    def failures(self) -> dict[str, int]:
+        """Failed repetitions counted by exception class."""
+        counts = collections.Counter(r.error.split(":", 1)[0] for r in self.per_rep if r.failed)
+        return dict(sorted(counts.items()))
+
 
 #: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @contextlib.contextmanager
@@ -159,7 +165,7 @@ def worker_pool(workers: int):
     BLAS, so workers are spawned (not forked from a parent that has loaded
     one) with the variables set to 1; a value the caller already set is kept.
     """
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     for var, value in saved.items():
         if value is None:
             os.environ[var] = "1"
@@ -189,17 +195,24 @@ class _RepTask:
 
 
 def _run_rep(task: _RepTask) -> RepRecord:
-    cfg = task.config
+    """One repetition; any error inside it is recorded, not raised.
+
+    The record of a failed repetition holds ``error = "<class>: <message>"``
+    and no estimates, so one bad sample or degenerate box cannot abort a run.
+    """
     seed = rep_seed(task.master_seed, task.rep)
+    try:
+        return _fit_rep(task, seed)
+    except Exception as exc:
+        return RepRecord(rep=task.rep, seed=seed, failed=True, error=f"{type(exc).__name__}: {exc}")
+
+
+def _fit_rep(task: _RepTask, seed: int) -> RepRecord:
+    cfg = task.config
     record = RepRecord(rep=task.rep, seed=seed)
     model = make_model(task.model_id, sigma=cfg.sigma, x0=cfg.x0)
     spec = explanatory_by_name(task.y_type, sigma_y=cfg.sigma_y)
-    try:
-        sample = generate_sample(model, spec, cfg.grid, task.n_paths, seed)
-    except SimulationError as exc:
-        record.failed = True
-        record.error = str(exc)
-        return record
+    sample = generate_sample(model, spec, cfg.grid, task.n_paths, seed)
     box = quantile_box(sample)
     scan = scan_dimension_grid(sample, cfg.phi, cfg.psi, cfg.selection)
     adaptive = select_adaptive_from_scan(scan)
@@ -282,6 +295,12 @@ def run_cells(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    for model_id, y_type, n_paths in cells:
+        # A bad cell is the caller's error, not a failed repetition.
+        make_model(model_id)
+        explanatory_by_name(y_type)
+        if n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     config = config or ExperimentConfig()
     tasks = [
         _RepTask(model_id=model_id, y_type=y_type, n_paths=n_paths, rep=r,
@@ -324,9 +343,9 @@ def run_experiment(
     Deterministic given all arguments; ``workers > 1`` distributes
     repetitions over processes without changing any result. Those processes
     are spawned (see :func:`worker_pool`), so a script that asks for them
-    must guard its entry point with ``if __name__ == "__main__":``. Repetitions
-    that fail inside the simulator are recorded and excluded from the
-    summary rather than aborting the run.
+    must guard its entry point with ``if __name__ == "__main__":``. A
+    repetition that raises is recorded as failed, with its error, and left
+    out of the summary rather than aborting the run.
     """
     # Unpacking runs the generator to its end, which shuts the pool down.
     (report,) = run_cells([(model_id, y_type, n_paths)], reps, seed, config, workers)

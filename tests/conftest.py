@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpls.experiments import QuantileBox, quantile_box
 from cpls.simulate import GridSpec, PathSample
 
 
@@ -23,3 +24,16 @@ def small_sample():
     x = 0.1 + 0.8 * rng.random((3, 5))
     y = 0.1 + 0.8 * rng.random((3, 5))
     return make_sample(grid, x, y)
+
+
+def flaky_quantile_box(fail_call):
+    """``quantile_box`` that returns a degenerate box on its ``fail_call``-th call."""
+    calls = []
+
+    def box(sample, path_index=0):
+        calls.append(path_index)
+        if len(calls) == fail_call:
+            return QuantileBox(0.0, 0.0, 0.0, 1.0)  # raises ValueError
+        return quantile_box(sample, path_index)
+
+    return box

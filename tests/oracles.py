@@ -97,3 +97,31 @@ def scan_pairwise(design, n_paths, phi, psi, config, event=None):
         res = pair_residuals(sub.gram, sub.zvec, sub.dvec, theta, lam)
         max_res = {key: max(max_res[key], res[key]) for key in max_res}
     return admissible, fits, max_res
+
+
+def design_pointwise(sample, phi, psi, dims, t_norm, rule):
+    """(Gram, observation vector) by a plain loop over paths and window points.
+
+    Each point's outer product is weighted as it is added (dt, halved at
+    both ends of the window under the trapezoid rule), and the dX-sums are
+    accumulated point by point: none of the block layout, the deferred dt or
+    the edge correction of :func:`cpls.design.build_design`.
+    """
+    from cpls.bases import eval_matrix
+
+    lo, hi, dt = sample.grid.drop_first, sample.grid.n_steps, sample.grid.dt
+    weights = np.full(hi - lo, dt)
+    if rule == "trapezoid":
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+    k = dims.total
+    gram = np.zeros((k, k))
+    zvec = np.zeros(k)
+    for xs, ys in zip(sample.x, sample.y):
+        values = np.hstack([eval_matrix(phi, dims.m1, xs[lo:hi]), eval_matrix(psi, dims.m2, ys[lo:hi])])
+        for ell in range(hi - lo):
+            v = values[ell]
+            gram += weights[ell] * np.outer(v, v)
+            zvec += v * (xs[lo + ell + 1] - xs[lo + ell])
+    scale = sample.n_paths * t_norm
+    return gram / scale, zvec / scale

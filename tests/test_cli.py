@@ -5,6 +5,8 @@ import pytest
 
 from cpls.cli import DEFAULTS, load_config_file, main
 
+from conftest import flaky_quantile_box
+
 
 def test_benchmark_defaults_pinned():
     assert DEFAULTS["dt"] == 0.02
@@ -48,6 +50,41 @@ class TestExperimentCommand:
         assert len(meta["rep_seeds"]) == 2
         out = capsys.readouterr().out
         assert "repetitions" in out
+
+    def test_failed_repetition_in_csv_and_meta(self, tmp_path, monkeypatch):
+        import cpls.experiments as expmod
+
+        monkeypatch.setattr(expmod, "quantile_box", flaky_quantile_box(fail_call=2))
+        code = run_cli([
+            "experiment", "--model", "2", "--y", "B", "--n", "8", "--reps", "3",
+            "--seed", "7", "--out", str(tmp_path), *FAST,
+        ])
+        assert code == 0
+        reps = [line.split(",") for line in (tmp_path / "experiment_reps.csv").read_text().splitlines()]
+        assert [row[reps[0].index("failed")] for row in reps[1:]] == ["0", "1", "0"]
+        meta = json.loads((tmp_path / "experiment_meta.json").read_text())
+        assert meta["n_failed"] == 1
+        assert meta["failures"] == {"ValueError": 1}
+
+    def test_meta_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
+        import platform
+        import scipy
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        code = run_cli([
+            "experiment", "--model", "3", "--y", "B", "--n", "8", "--reps", "1",
+            "--seed", "7", "--out", str(tmp_path), *FAST,
+        ])
+        assert code == 0
+        meta = json.loads((tmp_path / "experiment_meta.json").read_text())
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
+        assert meta["scipy"] == scipy.__version__
+        assert meta["blas_threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert meta["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert set(meta["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert meta["failures"] == {}
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -101,6 +138,23 @@ class TestTable1Command:
         assert len(rows) == 13  # header + 12 combinations
         header = rows[0].split(",")
         assert header[:3] == ["model", "y", "n_paths"]
+
+    def test_failures_by_cell_in_meta(self, tmp_path, monkeypatch):
+        import cpls.experiments as expmod
+
+        monkeypatch.setattr(expmod, "quantile_box", flaky_quantile_box(fail_call=3))
+        code = run_cli([
+            "table1", "--reps", "1", "--seed", "1", "--out", str(tmp_path),
+            "--n-steps", "30", "--dt", "0.05", "--drop", "2",
+            "--max-m1", "2", "--max-m2", "2",
+        ])
+        assert code == 0
+        meta = json.loads((tmp_path / "table1_meta.json").read_text())
+        # cells run in the order (1, A, 400), (1, A, 1000), (1, B, 400), ...
+        assert meta["failures"] == {"1B-400": {"ValueError": 1}}
+        assert {"python", "numpy", "scipy", "blas_threads"} <= set(meta)
+        row = (tmp_path / "table1.csv").read_text().splitlines()[3].split(",")
+        assert row[:3] == ["1", "B", "400"] and row[3] == "nan"
 
     def test_table1_uses_default_n_grid(self, tmp_path):
         # the benchmark grid always covers N in {400, 1000}; with tiny reps we

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpls import design
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_vector
@@ -9,6 +14,9 @@ from cpls.design import DimPair, assemble_gram, assemble_z, build_design, empiri
 from cpls.simulate import GridSpec, PathSample
 
 from conftest import make_sample
+from oracles import design_pointwise
+
+FAMILIES = [HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST]
 
 
 class TestDimPair:
@@ -156,6 +164,69 @@ class TestAssembleZ:
         mean_gap = gaps.mean(axis=0)
         se = gaps.std(axis=0, ddof=1) / math.sqrt(n_rep)
         assert np.all(np.abs(mean_gap) <= 3 * se + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_paths=st.integers(1, 3 * design._PATH_BLOCK + 5),
+    n_window=st.integers(1, 6),
+    drop=st.integers(0, 2),
+    m1=st.integers(0, 6),
+    m2=st.integers(0, 6),
+    phi=st.sampled_from(FAMILIES),
+    psi=st.sampled_from(FAMILIES),
+    rule=st.sampled_from(["left", "trapezoid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_assembly_matches_pointwise_reference(n_paths, n_window, drop, m1, m2, phi, psi, rule, seed):
+    # Path counts below, at and between multiples of the block size; values
+    # on both sides of every support's edges, so each family's zero
+    # convention shows; either component may be absent.
+    m1, m2 = min(m1, n_paths), min(m2, n_paths)
+    if m1 + m2 == 0:
+        m1 = 1
+    grid = GridSpec(n_steps=drop + n_window, dt=0.05, drop_first=drop)
+    rng = np.random.default_rng(seed)
+    shape = (n_paths, grid.n_steps + 1)
+    sample = make_sample(grid, rng.uniform(-1.5, 3.0, shape), rng.uniform(-1.5, 3.0, shape))
+    dims = DimPair(m1, m2)
+    got = build_design(sample, phi, psi, dims, rule=rule)
+    gram, zvec = design_pointwise(sample, phi, psi, dims, got.t_norm, rule)
+    np.testing.assert_array_equal(got.gram, got.gram.T)
+    assert np.abs(got.gram - gram).max() <= 1e-13 * np.abs(gram).max()
+    assert np.abs(got.zvec - zvec).max() <= 1e-13 * max(np.abs(zvec).max(), 1e-300)
+
+
+_DESIGN_CHILD = """
+import hashlib
+from cpls.bases import HERMITE
+from cpls.design import DimPair, build_design
+from cpls.simulate import GridSpec, explanatory_by_name, generate_sample, make_model
+
+sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 1000, seed=5)
+for rule in ("left", "trapezoid"):
+    system = build_design(sample, HERMITE, HERMITE, DimPair(39, 39), rule=rule)
+    print(rule, hashlib.sha256(system.gram.tobytes() + system.zvec.tobytes()).hexdigest())
+"""
+
+
+def test_design_independent_of_blas_threads():
+    # One product per path block gives the Gram and the dX-sums; the BLAS
+    # splits that product over its threads, and a thread count is read when
+    # a process loads the BLAS, hence one child process per count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", _DESIGN_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert outputs[0][::2] == ["left", "trapezoid"]
+    assert outputs[0] == outputs[1]
 
 
 class TestEmpiricalNorm:

@@ -22,7 +22,7 @@ from cpls.experiments import (
 from cpls.selection import SelectionConfig
 from cpls.simulate import GridSpec, SdeModel, explanatory_by_name, generate_sample, make_model
 
-from conftest import make_sample
+from conftest import flaky_quantile_box, make_sample
 
 
 def tiny_config(**kw):
@@ -182,6 +182,30 @@ class TestRunExperiment:
         assert report.n_failed == 3
         assert report.summary["n_failed"] == 3.0
         assert all(r.error for r in report.per_rep)
+
+    def test_any_error_in_a_repetition_is_recorded(self, monkeypatch):
+        # A degenerate quantile box (a ValueError, not a SimulationError) in
+        # the second of three repetitions fails that repetition only.
+        import cpls.experiments as expmod
+
+        clean = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
+        monkeypatch.setattr(expmod, "quantile_box", flaky_quantile_box(fail_call=2))
+        report = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
+        assert report.n_failed == 1
+        bad = report.per_rep[1]
+        assert bad.failed and bad.error.startswith("ValueError: degenerate quantile box")
+        assert bad.dims is None and math.isnan(bad.mse_a)
+        assert report.failures == {"ValueError": 1}
+        kept = [clean.per_rep[0], clean.per_rep[2]]
+        for a, b in zip(kept, [report.per_rep[0], report.per_rep[2]]):
+            assert a.mse_a == b.mse_a and a.dims == b.dims
+        assert report.summary["n_reps"] == 3.0 and report.summary["n_failed"] == 1.0
+        assert report.summary["mse100_a_mean"] == pytest.approx(100.0 * np.mean([r.mse_a for r in kept]), rel=1e-14)
+        assert report.summary["dim_b_mean"] == np.mean([r.dims.m2 for r in kept])
+
+    def test_invalid_cell_is_raised_not_recorded(self):
+        with pytest.raises(ValueError):
+            run_experiment(2, "B", 0, 2, seed=9, config=tiny_config())
 
 
 @pytest.fixture(scope="module")
