@@ -4,7 +4,8 @@ Two sections, both seeded like the acceptance module (master seed 1,
 50 repetitions):
 
 * ``grid``  -- the 12-cell benchmark grid {1,2,3} x {A,B} x {400,1000} run
-  through ``run_experiment`` at scan bound 25 and at the default
+  through ``run_cells`` (one process pool per bound; each cell equals its
+  own ``run_experiment`` bit for bit) at scan bound 25 and at the default
   ``SCAN_BOUND``: MSE means, selected dimensions, the share of repetitions
   whose choice sits on the scan bound, the criterion-3 direction checks,
   and the wall time of each grid. These are the numbers the acceptance
@@ -22,8 +23,8 @@ Usage (from the repository root)::
     PYTHONPATH=src python scripts/acceptance_diagnosis.py --section leads
     PYTHONPATH=src python scripts/acceptance_diagnosis.py --section grid --workers 2
 
-On two cores the grid section takes about 6.5 minutes and the leads
-section about 3.5.
+On two cores the grid section takes about 1.5 minutes and the leads
+section about 2.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from cpls.experiments import (
     QuantileBox,
     quantile_box,
     rep_seed,
-    run_experiment,
+    run_cells,
     worker_pool,
 )
 from cpls.quadrature import simpson_grid
@@ -78,29 +79,28 @@ def run_grid(reps: int, seed: int, workers: int) -> None:
               "on-bound adapt/oracle  max m1,m2")
         start = time.time()
         summaries = {}
-        for model_id in (1, 2, 3):
-            for y_type in ("A", "B"):
-                for n in (400, 1000):
-                    report = run_experiment(model_id, y_type, n, reps, seed, cfg, workers=workers)
-                    good = [r for r in report.per_rep if not r.failed]
-                    s = report.summary
-                    summaries[(model_id, y_type, n)] = s
-                    on_a = np.mean([bound in (r.dims.m1, r.dims.m2) for r in good])
-                    on_o = np.mean([bound in (r.oracle_dims.m1, r.oracle_dims.m2) for r in good])
-                    max_m1 = max(r.dims.m1 for r in good)
-                    max_m2 = max(r.dims.m2 for r in good)
-                    print(
-                        f"{model_id}{y_type} N={n:<5d}{s['mse100_a_mean']:9.3f}  {s['mse100_b_mean']:9.3f}  "
-                        f"{s['mse100_oracle_a_mean']:7.3f}  {s['mse100_oracle_b_mean']:7.3f}  "
-                        f"{s['dim_a_mean']:5.2f}  {s['dim_b_mean']:5.2f}  "
-                        f"{s['dim_oracle_a_mean']:6.2f}  {s['dim_oracle_b_mean']:6.2f}  "
-                        f"{100 * on_a:5.0f}% / {100 * on_o:3.0f}%         {max_m1},{max_m2}",
-                        flush=True,
-                    )
-                    if (model_id, y_type, n) == (2, "A", 400):
-                        res = {k: max(r.max_residuals[k] for r in good) for k in good[0].max_residuals}
-                        print("          criterion-5 residuals: "
-                              + ", ".join(f"{k} {v:.2e}" for k, v in res.items()))
+        cells = [(m, y, n) for m in (1, 2, 3) for y in ("A", "B") for n in (400, 1000)]
+        for report in run_cells(cells, reps, seed, cfg, workers=workers):
+            model_id, y_type, n = report.model_id, report.y_type, report.n_paths
+            good = [r for r in report.per_rep if not r.failed]
+            s = report.summary
+            summaries[(model_id, y_type, n)] = s
+            on_a = np.mean([bound in (r.dims.m1, r.dims.m2) for r in good])
+            on_o = np.mean([bound in (r.oracle_dims.m1, r.oracle_dims.m2) for r in good])
+            max_m1 = max(r.dims.m1 for r in good)
+            max_m2 = max(r.dims.m2 for r in good)
+            print(
+                f"{model_id}{y_type} N={n:<5d}{s['mse100_a_mean']:9.3f}  {s['mse100_b_mean']:9.3f}  "
+                f"{s['mse100_oracle_a_mean']:7.3f}  {s['mse100_oracle_b_mean']:7.3f}  "
+                f"{s['dim_a_mean']:5.2f}  {s['dim_b_mean']:5.2f}  "
+                f"{s['dim_oracle_a_mean']:6.2f}  {s['dim_oracle_b_mean']:6.2f}  "
+                f"{100 * on_a:5.0f}% / {100 * on_o:3.0f}%         {max_m1},{max_m2}",
+                flush=True,
+            )
+            if (model_id, y_type, n) == (2, "A", 400):
+                res = {k: max(r.max_residuals[k] for r in good) for k in good[0].max_residuals}
+                print("          criterion-5 residuals: "
+                      + ", ".join(f"{k} {v:.2e}" for k, v in res.items()))
         elapsed = time.time() - start
         n_dec = n_dom = 0
         for model_id in (1, 2, 3):

@@ -24,8 +24,6 @@ from .bases import (
 from .design import (
     DesignSystem,
     DimPair,
-    assemble_gram,
-    assemble_z,
     build_design,
     empirical_norm_sq,
     inv_opnorm,

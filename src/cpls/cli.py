@@ -24,6 +24,7 @@ import math
 import os
 import platform
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -242,17 +243,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _experiment_config(settings)
     out = _out_dir(args)
     keep_curves = settings["curves"] > 0
+    start = time.perf_counter()
     report = run_experiment(
         settings["model"], settings["y"], settings["n"], settings["reps"],
         settings["seed"], config, workers=settings["threads"], keep_curves=keep_curves,
     )
+    wall_s = time.perf_counter() - start
     _write_csv(out / "experiment_reps.csv", _REP_HEADER, _rep_rows(report))
     _write_csv(out / "experiment_summary.csv", _SUMMARY_HEADER, _summary_rows(report.summary))
     _write_meta(
         out / "experiment_meta.json",
         settings,
         {"rep_seeds": [rep_seed(settings["seed"], r) for r in range(settings["reps"])],
-         "n_failed": report.n_failed, "failures": report.failures},
+         "n_failed": report.n_failed, "failures": report.failures,
+         "workers": settings["threads"], "wall_s": wall_s},
     )
     if keep_curves and report.curves is not None:
         n_curves = min(settings["curves"], report.curves["a"].shape[0])
@@ -280,6 +284,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     cells = [(m, y, n) for m in (1, 2, 3) for y in ("A", "B") for n in (400, 1000)]
     rows = []
     failures = {}
+    start = time.perf_counter()
     for report in run_cells(cells, settings["reps"], settings["seed"], config,
                             workers=settings["threads"]):
         s = report.summary
@@ -295,8 +300,13 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         if report.n_failed:
             failures[f"{report.model_id}{report.y_type}-{report.n_paths}"] = report.failures
         print(f"done: model {report.model_id}, Y ({report.y_type}), N = {report.n_paths}")
+    wall_s = time.perf_counter() - start
     _write_csv(out / "table1.csv", _TABLE1_HEADER, rows)
-    _write_meta(out / "table1_meta.json", settings, {"rows": len(rows), "failures": failures})
+    _write_meta(
+        out / "table1_meta.json",
+        settings,
+        {"rows": len(rows), "failures": failures, "workers": settings["threads"], "wall_s": wall_s},
+    )
     print(f"wrote {out / 'table1.csv'} ({len(rows)} rows)")
     return 0
 

@@ -20,11 +20,21 @@ reruns give the same bits. Each block is one reused buffer with one row per
 basis member plus a row of X-increments, and one column per (path, window
 point); a single ``buf @ buf.T`` per block yields both the Gram sums and
 the dX-sums (see :func:`_accumulate`).
+
+One pass can return the designs of several prefixes of the sample, the
+first n paths for each n asked (:func:`build_prefix_designs`), which is how
+one sample of N = 1000 paths also gives the N = 400 design of the same
+repetition. The running sums are checkpointed at each n: at a block
+boundary as they stand; inside a block, plus the product of that block's
+leading columns, added to a copy. Those are the sums, in the same order,
+that a pass over the first n paths alone makes, so each design is bitwise
+the standalone design of its prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,10 +80,10 @@ class DesignSystem:
         return self.dims.total
 
 
-def _check_dims(sample: PathSample, dims: DimPair) -> None:
-    if dims.m1 > sample.n_paths or dims.m2 > sample.n_paths:
+def _check_dims(n_paths: int, dims: DimPair) -> None:
+    if dims.m1 > n_paths or dims.m2 > n_paths:
         raise ValueError(
-            f"dimensions {dims} exceed the number of paths {sample.n_paths}"
+            f"dimensions {dims} exceed the number of paths {n_paths}"
         )
 
 
@@ -97,9 +107,14 @@ def _resolve_t_norm(sample: PathSample, t_norm: float | None) -> float:
 
 
 def _path_blocks(
-    sample: PathSample, phi: BasisFamily, psi: BasisFamily, dims: DimPair, extra_rows: int = 0
+    sample: PathSample,
+    phi: BasisFamily,
+    psi: BasisFamily,
+    dims: DimPair,
+    n_paths: int,
+    extra_rows: int = 0,
 ):
-    """Yield ``(rows, block)`` for each block of at most ``_PATH_BLOCK`` paths.
+    """Yield ``(rows, block)`` for each block of at most ``_PATH_BLOCK`` of the first ``n_paths`` paths.
 
     ``block`` has ``m1 + m2 + extra_rows`` rows and one column per (path,
     window point) of ``rows``, path-major. Its first ``m1 + m2`` rows hold
@@ -110,9 +125,9 @@ def _path_blocks(
     lo = sample.grid.drop_first
     hi = sample.grid.n_steps
     m1, k = dims.m1, dims.total
-    buf = np.empty((k + extra_rows, min(_PATH_BLOCK, sample.n_paths) * (hi - lo)))
-    for start in range(0, sample.n_paths, _PATH_BLOCK):
-        rows = slice(start, min(start + _PATH_BLOCK, sample.n_paths))
+    buf = np.empty((k + extra_rows, min(_PATH_BLOCK, n_paths) * (hi - lo)))
+    for start in range(0, n_paths, _PATH_BLOCK):
+        rows = slice(start, min(start + _PATH_BLOCK, n_paths))
         block = buf[:, : (rows.stop - rows.start) * (hi - lo)]
         if m1 > 0:
             eval_rows(phi, m1, sample.x[rows, lo:hi].ravel(), out=block[:m1])
@@ -128,8 +143,9 @@ def _accumulate(
     dims: DimPair,
     t_norm: float | None,
     rule: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and observation vector from one product per path block.
+    counts: Sequence[int],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gram matrix and observation vector of the first ``n`` paths, for each ``n`` in ``counts``.
 
     Row ``k = m1 + m2`` of each block holds the X-increments, so one
     ``block @ block.T`` gives the Gram sums in ``[:k, :k]`` and the dX-sums
@@ -139,9 +155,15 @@ def _accumulate(
     weight is ``dt``, which multiplies the sums once, at the end; a column
     whose weight differs (the trapezoid rule's first and last) has the
     difference subtracted through a product of that column alone.
+
+    ``counts`` is strictly increasing, and the paths after the last count
+    are not read. Each count checkpoints the running sums (see the module
+    docstring), so every (G, z) is bitwise that of its prefix sample alone.
     """
-    _check_dims(sample, dims)
-    scale = sample.n_paths * _resolve_t_norm(sample, t_norm)
+    if not counts or any(b <= a for a, b in zip(counts, counts[1:])) or counts[-1] > sample.n_paths:
+        raise ValueError(f"path counts {counts} must increase strictly up to {sample.n_paths}")
+    _check_dims(counts[0], dims)
+    t_norm = _resolve_t_norm(sample, t_norm)
     w = _time_weights(sample, rule)
     dt = sample.grid.dt
     edges = [(j, dt - w[j]) for j in np.flatnonzero(w != dt)]
@@ -150,42 +172,35 @@ def _accumulate(
     k = dims.total
     sums = np.zeros((k + 1, k + 1))
     excess = np.zeros((k, k))
-    for rows, block in _path_blocks(sample, phi, psi, dims, extra_rows=1):
+
+    def add(block, sums, excess):
+        sums += block @ block.T
+        for j, dw in edges:
+            col = block[:k, j :: hi - lo]
+            excess += dw * (col @ col.T)
+
+    def normalized(n, sums, excess):
+        scale = n * t_norm
+        gram = (dt * sums[:k, :k] - excess) / scale
+        return 0.5 * (gram + gram.T), sums[:k, k] / scale
+
+    out = []
+    for rows, block in _path_blocks(sample, phi, psi, dims, counts[-1], extra_rows=1):
         n_rows = rows.stop - rows.start
         np.subtract(
             sample.x[rows, lo + 1 : hi + 1],
             sample.x[rows, lo:hi],
             out=block[k].reshape(n_rows, hi - lo),
         )
-        sums += block @ block.T
-        for j, dw in edges:
-            col = block[:k, j :: hi - lo]
-            excess += dw * (col @ col.T)
-    gram = (dt * sums[:k, :k] - excess) / scale
-    return 0.5 * (gram + gram.T), sums[:k, k] / scale
-
-
-def assemble_gram(
-    sample: PathSample,
-    phi: BasisFamily,
-    psi: BasisFamily,
-    dims: DimPair,
-    t_norm: float | None = None,
-    rule: str = "left",
-) -> np.ndarray:
-    """Empirical Gram matrix of the stacked basis at ``dims``."""
-    return _accumulate(sample, phi, psi, dims, t_norm, rule)[0]
-
-
-def assemble_z(
-    sample: PathSample,
-    phi: BasisFamily,
-    psi: BasisFamily,
-    dims: DimPair,
-    t_norm: float | None = None,
-) -> np.ndarray:
-    """Observation vector: basis values against the X-increments."""
-    return _accumulate(sample, phi, psi, dims, t_norm, "left")[1]
+        for n in counts:
+            if rows.start < n < rows.stop:
+                part_sums, part_excess = sums.copy(), excess.copy()
+                add(block[:, : (n - rows.start) * (hi - lo)], part_sums, part_excess)
+                out.append(normalized(n, part_sums, part_excess))
+        add(block, sums, excess)
+        if rows.stop in counts:
+            out.append(normalized(rows.stop, sums, excess))
+    return out
 
 
 def empirical_norm_sq(
@@ -202,14 +217,14 @@ def empirical_norm_sq(
     Computed by direct pointwise summation of (tau(X) + nu(Y))^2, not through
     the Gram quadratic form, so it can serve as an independent cross-check.
     """
-    _check_dims(sample, dims)
+    _check_dims(sample.n_paths, dims)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (dims.total,):
         raise ValueError(f"coeffs must have length {dims.total}, got {coeffs.shape}")
     t0_norm = _resolve_t_norm(sample, t_norm)
     w = _time_weights(sample, rule)
     total = 0.0
-    for rows, block in _path_blocks(sample, phi, psi, dims):
+    for rows, block in _path_blocks(sample, phi, psi, dims, sample.n_paths):
         vals = (coeffs @ block).reshape(rows.stop - rows.start, w.size)
         total += float(np.sum((vals * vals) @ w))
     return total / (sample.n_paths * t0_norm)
@@ -242,17 +257,36 @@ def build_design(
     rule: str = "left",
 ) -> DesignSystem:
     """Assemble the complete design system at ``dims`` in one pass."""
-    gram, zvec = _accumulate(sample, phi, psi, dims, t_norm, rule)
+    return build_prefix_designs(sample, phi, psi, dims, (sample.n_paths,), t_norm, rule)[0]
+
+
+def build_prefix_designs(
+    sample: PathSample,
+    phi: BasisFamily,
+    psi: BasisFamily,
+    dims: DimPair,
+    counts: Sequence[int],
+    t_norm: float | None = None,
+    rule: str = "left",
+) -> list[DesignSystem]:
+    """Designs of the first ``n`` paths, for each ``n`` in the increasing ``counts``, in one pass.
+
+    Each is bitwise the design that :func:`build_design` makes of the
+    sample's first ``n`` paths (see :func:`_accumulate`).
+    """
     dvec = np.concatenate([np.zeros(dims.m1), delta_vector(psi, dims.m2) if dims.m2 else np.zeros(0)])
-    return DesignSystem(
-        dims=dims,
-        gram=gram,
-        zvec=zvec,
-        dvec=dvec,
-        t0=sample.grid.t0,
-        T=sample.grid.total_time,
-        t_norm=_resolve_t_norm(sample, t_norm),
-    )
+    return [
+        DesignSystem(
+            dims=dims,
+            gram=gram,
+            zvec=zvec,
+            dvec=dvec,
+            t0=sample.grid.t0,
+            T=sample.grid.total_time,
+            t_norm=_resolve_t_norm(sample, t_norm),
+        )
+        for gram, zvec in _accumulate(sample, phi, psi, dims, t_norm, rule, tuple(counts))
+    ]
 
 
 def subsystem(system: DesignSystem, dims: DimPair) -> DesignSystem:

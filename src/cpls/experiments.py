@@ -28,11 +28,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bases import BasisFamily, HERMITE
-from .design import DimPair
+from .design import DesignSystem, DimPair, build_prefix_designs
 from .estimator import FitResult, evaluate_fit
 from .quadrature import simpson_grid
 from .selection import (
+    DimensionScan,
     SelectionConfig,
+    scan_bounds,
+    scan_design,
     scan_dimension_grid,
     select_adaptive_from_scan,
     select_oracle_from_scan,
@@ -186,35 +189,88 @@ def rep_seed(master_seed: int, rep_index: int) -> int:
 
 @dataclass(frozen=True)
 class _RepTask:
+    """One repetition of one (model, Y type) at each N of ``n_paths`` (increasing)."""
+
     model_id: int
     y_type: str
-    n_paths: int
+    n_paths: tuple[int, ...]
     rep: int
     master_seed: int
     config: ExperimentConfig
 
 
-def _run_rep(task: _RepTask) -> RepRecord:
-    """One repetition; any error inside it is recorded, not raised.
+def _run_rep(task: _RepTask) -> list[RepRecord]:
+    """One record per N of the task; any error inside a repetition is recorded, not raised.
 
-    The record of a failed repetition holds ``error = "<class>: <message>"``
-    and no estimates, so one bad sample or degenerate box cannot abort a run.
+    With several N, one sample of the largest N, its quantile box and the
+    designs of every N (:func:`_shared_designs`) serve all of them. If that
+    shared step raises, say because a path beyond the smallest N diverged,
+    each N runs on its own, so the error reaches only the N whose own
+    sample meets it.
     """
     seed = rep_seed(task.master_seed, task.rep)
+    if len(task.n_paths) > 1:
+        try:
+            model, box, designs = _shared_designs(task, seed)
+        except Exception:
+            pass  # each N reruns on its own below, and records what it meets
+        else:
+            cfg = task.config
+            return [
+                _recorded(task.rep, seed, lambda: _record(
+                    task.rep, seed, cfg, model, box,
+                    scan_design(design, n, cfg.phi, cfg.psi, cfg.selection),
+                ))
+                for n, design in zip(task.n_paths, designs)
+            ]
+    return [_recorded(task.rep, seed, lambda: _fit_rep(task, n, seed)) for n in task.n_paths]
+
+
+def _recorded(rep: int, seed: int, fit) -> RepRecord:
+    """``fit()``, or a failed record holding ``error = "<class>: <message>"`` and no estimates.
+
+    So one bad sample or degenerate box cannot abort a run.
+    """
     try:
-        return _fit_rep(task, seed)
+        return fit()
     except Exception as exc:
-        return RepRecord(rep=task.rep, seed=seed, failed=True, error=f"{type(exc).__name__}: {exc}")
+        return RepRecord(rep=rep, seed=seed, failed=True, error=f"{type(exc).__name__}: {exc}")
 
 
-def _fit_rep(task: _RepTask, seed: int) -> RepRecord:
+def _sample(task: _RepTask, n_paths: int, seed: int) -> tuple[SdeModel, PathSample]:
     cfg = task.config
-    record = RepRecord(rep=task.rep, seed=seed)
     model = make_model(task.model_id, sigma=cfg.sigma, x0=cfg.x0)
     spec = explanatory_by_name(task.y_type, sigma_y=cfg.sigma_y)
-    sample = generate_sample(model, spec, cfg.grid, task.n_paths, seed)
+    return model, generate_sample(model, spec, cfg.grid, n_paths, seed)
+
+
+def _fit_rep(task: _RepTask, n_paths: int, seed: int) -> RepRecord:
+    cfg = task.config
+    model, sample = _sample(task, n_paths, seed)
     box = quantile_box(sample)
     scan = scan_dimension_grid(sample, cfg.phi, cfg.psi, cfg.selection)
+    return _record(task.rep, seed, cfg, model, box, scan)
+
+
+def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, list[DesignSystem]]:
+    """The model, the quantile box and the scan design of every N, from one sample of the largest.
+
+    The sample is dropped on return; only the designs are kept.
+    """
+    cfg = task.config
+    model, sample = _sample(task, task.n_paths[-1], seed)
+    box = quantile_box(sample)
+    bounds = scan_bounds(cfg.selection, task.n_paths[0])  # the same for every N of the task
+    designs = build_prefix_designs(
+        sample, cfg.phi, cfg.psi, bounds, task.n_paths, cfg.selection.resolve_t_norm(sample)
+    )
+    return model, box, designs
+
+
+def _record(
+    rep: int, seed: int, cfg: ExperimentConfig, model: SdeModel, box: QuantileBox, scan: DimensionScan
+) -> RepRecord:
+    record = RepRecord(rep=rep, seed=seed)
     adaptive = select_adaptive_from_scan(scan)
     oracle = select_oracle_from_scan(scan, model, box)
     record.box = box
@@ -287,14 +343,27 @@ def run_cells(
 ) -> Iterator[ExperimentReport]:
     """Reports of several (model_id, y_type, n_paths) cells, yielded in order.
 
-    All ``len(cells) * reps`` repetitions go through one process pool when
-    ``workers > 1`` (and in this process otherwise), so a grid of cells pays
-    for one pool start-up. Each report equals ``run_experiment`` of its cell
-    with the same ``reps``, ``seed`` and ``config``, bit for bit; a report is
-    yielded as soon as its cell's repetitions are done.
+    All repetitions go through one process pool when ``workers > 1`` (and
+    in this process otherwise), so a grid of cells pays for one pool
+    start-up. Each report equals ``run_experiment`` of its cell with the
+    same ``reps``, ``seed`` and ``config``, bit for bit; a report is yielded
+    as soon as its cell's repetitions are done.
+
+    Cells that differ only in N share work. A repetition's seed does not
+    depend on N, and path i draws from the same streams for every N, so the
+    sample of size n is the first n paths of any larger one, and the
+    quantile box, taken from path 0, is the same. Cells of one (model,
+    Y type) whose scan rectangles ``min(max_m, N)`` agree therefore run as
+    one task per repetition: it simulates the largest N once, takes the box
+    once, and assembles every N's design in one pass, each checkpointed at
+    its path count (:func:`cpls.design.build_prefix_designs`). The designs
+    are bitwise those of standalone runs; scan, selection and box MSE then
+    run per N. Other cells run one task per repetition, as ``run_experiment``
+    does.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    cells = [tuple(cell) for cell in cells]
     for model_id, y_type, n_paths in cells:
         # A bad cell is the caller's error, not a failed repetition.
         make_model(model_id)
@@ -302,30 +371,41 @@ def run_cells(
         if n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     config = config or ExperimentConfig()
+    groups: dict[tuple, set[int]] = {}
+    for model_id, y_type, n_paths in cells:
+        key = (model_id, y_type, scan_bounds(config.selection, n_paths))
+        groups.setdefault(key, set()).add(n_paths)
     tasks = [
-        _RepTask(model_id=model_id, y_type=y_type, n_paths=n_paths, rep=r,
+        _RepTask(model_id=model_id, y_type=y_type, n_paths=tuple(sorted(ns)), rep=r,
                  master_seed=seed, config=config)
-        for model_id, y_type, n_paths in cells
+        for (model_id, y_type, _), ns in groups.items()
         for r in range(reps)
     ]
+    per_cell: dict[tuple[int, str, int], list[RepRecord]] = {}
     with contextlib.ExitStack() as stack:
         if workers > 1 and len(tasks) > 1:
             pool = stack.enter_context(worker_pool(workers))
-            records = pool.map(_run_rep, tasks, chunksize=1)
+            results = pool.map(_run_rep, tasks, chunksize=1)
         else:
-            records = map(_run_rep, tasks)
-        for model_id, y_type, n_paths in cells:
-            per_rep = [next(records) for _ in range(reps)]
-            yield ExperimentReport(
-                model_id=model_id,
-                y_type=y_type,
-                n_paths=n_paths,
-                reps=reps,
-                seed=seed,
-                config=config,
-                per_rep=per_rep,
-                summary=summarize(per_rep),
-            )
+            results = map(_run_rep, tasks)
+        cell_iter = iter(cells)
+        cell = next(cell_iter, None)
+        for task, records in zip(tasks, results):
+            for n_paths, record in zip(task.n_paths, records):
+                per_cell.setdefault((task.model_id, task.y_type, n_paths), []).append(record)
+            while cell is not None and len(per_cell.get(cell, ())) == reps:
+                model_id, y_type, n_paths = cell
+                yield ExperimentReport(
+                    model_id=model_id,
+                    y_type=y_type,
+                    n_paths=n_paths,
+                    reps=reps,
+                    seed=seed,
+                    config=config,
+                    per_rep=per_cell[cell],
+                    summary=summarize(per_cell[cell]),
+                )
+                cell = next(cell_iter, None)
 
 
 def run_experiment(

@@ -215,6 +215,11 @@ def scan_design(
     )
 
 
+def scan_bounds(config: SelectionConfig, n_paths: int) -> DimPair:
+    """The scan rectangle for ``n_paths`` paths: each bound capped at the number of paths."""
+    return DimPair(min(config.max_m1, n_paths), min(config.max_m2, n_paths))
+
+
 def scan_dimension_grid(
     sample: PathSample,
     phi: BasisFamily,
@@ -227,8 +232,7 @@ def scan_dimension_grid(
     number of paths); :func:`scan_design` does the rest.
     """
     n = sample.n_paths
-    bounds = DimPair(min(config.max_m1, n), min(config.max_m2, n))
-    design = build_design(sample, phi, psi, bounds, config.resolve_t_norm(sample))
+    design = build_design(sample, phi, psi, scan_bounds(config, n), config.resolve_t_norm(sample))
     return scan_design(design, n, phi, psi, config)
 
 

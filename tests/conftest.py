@@ -37,3 +37,18 @@ def flaky_quantile_box(fail_call):
         return quantile_box(sample, path_index)
 
     return box
+
+
+def quantile_box_failing_on(first_x):
+    """``quantile_box`` that returns a degenerate box for a sample whose path 0 is ``first_x``.
+
+    Path 0 of a repetition's sample is the same for every N, so each N of
+    that repetition fails alike, whatever the order the samples come in.
+    """
+
+    def box(sample, path_index=0):
+        if np.array_equal(sample.x[0], first_x):
+            return QuantileBox(0.0, 0.0, 0.0, 1.0)  # raises ValueError
+        return quantile_box(sample, path_index)
+
+    return box

@@ -3,7 +3,7 @@
 Criteria 1-3 depend on heavy Monte-Carlo runs (50 repetitions per
 configuration) that are shared through module-scoped fixtures. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines as
-they complete. Expected duration: about 5 minutes on two cores.
+they complete. Expected duration: about 1.5 minutes on two cores.
 
 Criteria 1 and 2 (oracle-dimension half) compare against benchmark-table
 magnitudes whose protocol (MSE convention, quantile box, scale of Y (A)) the
@@ -22,9 +22,9 @@ import scipy.integrate
 
 from cpls import bases
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST
-from cpls.design import DimPair, assemble_gram, empirical_norm_sq
+from cpls.design import DimPair, build_design, empirical_norm_sq
 from cpls.estimator import solve_constrained
-from cpls.experiments import run_experiment
+from cpls.experiments import run_cells, run_experiment
 from cpls.simulate import (
     GridSpec,
     SdeModel,
@@ -58,15 +58,21 @@ def bench_run():
 
 @pytest.fixture(scope="module")
 def grid_runs(bench_run):
-    """Criterion 3 grid: {1,2,3} x {A,B} x {400,1000} at 50 repetitions."""
+    """Criterion 3 grid: {1,2,3} x {A,B} x {400,1000} at 50 repetitions.
+
+    The 11 cells other than the criterion-1 run share one process pool; each
+    equals its own ``run_experiment`` bit for bit.
+    """
     out = {(2, "A", 400): bench_run.summary}
-    for model_id in (1, 2, 3):
-        for y_type in ("A", "B"):
-            for n in (400, 1000):
-                if (model_id, y_type, n) in out:
-                    continue
-                rep = run_experiment(model_id, y_type, n, REPS, MASTER_SEED, workers=WORKERS)
-                out[(model_id, y_type, n)] = rep.summary
+    cells = [
+        (model_id, y_type, n)
+        for model_id in (1, 2, 3)
+        for y_type in ("A", "B")
+        for n in (400, 1000)
+        if (model_id, y_type, n) not in out
+    ]
+    for rep in run_cells(cells, REPS, MASTER_SEED, workers=WORKERS):
+        out[(rep.model_id, rep.y_type, rep.n_paths)] = rep.summary
     return out
 
 
@@ -281,7 +287,7 @@ def test_criterion_8_norm_identity():
     worst = 0.0
     for s_idx in range(10):
         sample = generate_sample(model, spec, grid, 12, seed=880 + s_idx)
-        gram = assemble_gram(sample, HERMITE, HERMITE, dims)
+        gram = build_design(sample, HERMITE, HERMITE, dims).gram
         for _ in range(10):
             coeffs = rng.standard_normal(dims.total)
             quad_form = coeffs @ gram @ coeffs

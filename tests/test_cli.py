@@ -5,7 +5,7 @@ import pytest
 
 from cpls.cli import DEFAULTS, load_config_file, main
 
-from conftest import flaky_quantile_box
+from conftest import flaky_quantile_box, quantile_box_failing_on
 
 
 def test_benchmark_defaults_pinned():
@@ -48,6 +48,7 @@ class TestExperimentCommand:
         meta = json.loads((tmp_path / "experiment_meta.json").read_text())
         assert meta["settings"]["seed"] == 7
         assert len(meta["rep_seeds"]) == 2
+        assert meta["workers"] == 1 and meta["wall_s"] > 0
         out = capsys.readouterr().out
         assert "repetitions" in out
 
@@ -141,8 +142,14 @@ class TestTable1Command:
 
     def test_failures_by_cell_in_meta(self, tmp_path, monkeypatch):
         import cpls.experiments as expmod
+        from cpls.experiments import rep_seed
+        from cpls.simulate import GridSpec, explanatory_by_name, generate_sample, make_model
 
-        monkeypatch.setattr(expmod, "quantile_box", flaky_quantile_box(fail_call=3))
+        # A degenerate box for model 1 x Y (B)'s only repetition: the box
+        # comes from path 0, which N = 400 and N = 1000 share.
+        grid = GridSpec(n_steps=30, dt=0.05, drop_first=2)
+        first = generate_sample(make_model(1), explanatory_by_name("B"), grid, 1, rep_seed(1, 0)).x[0]
+        monkeypatch.setattr(expmod, "quantile_box", quantile_box_failing_on(first))
         code = run_cli([
             "table1", "--reps", "1", "--seed", "1", "--out", str(tmp_path),
             "--n-steps", "30", "--dt", "0.05", "--drop", "2",
@@ -150,11 +157,15 @@ class TestTable1Command:
         ])
         assert code == 0
         meta = json.loads((tmp_path / "table1_meta.json").read_text())
-        # cells run in the order (1, A, 400), (1, A, 1000), (1, B, 400), ...
-        assert meta["failures"] == {"1B-400": {"ValueError": 1}}
+        assert meta["failures"] == {"1B-400": {"ValueError": 1}, "1B-1000": {"ValueError": 1}}
         assert {"python", "numpy", "scipy", "blas_threads"} <= set(meta)
-        row = (tmp_path / "table1.csv").read_text().splitlines()[3].split(",")
-        assert row[:3] == ["1", "B", "400"] and row[3] == "nan"
+        assert meta["workers"] == 1 and meta["wall_s"] > 0
+        rows = (tmp_path / "table1.csv").read_text().splitlines()
+        # cells run in the order (1, A, 400), (1, A, 1000), (1, B, 400), ...
+        for line, n in zip(rows[3:5], ("400", "1000")):
+            row = line.split(",")
+            assert row[:3] == ["1", "B", n] and row[3] == "nan"
+        assert all(line.split(",")[3] != "nan" for line in rows[1:3] + rows[5:])
 
     def test_table1_uses_default_n_grid(self, tmp_path):
         # the benchmark grid always covers N in {400, 1000}; with tiny reps we

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpls import design
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_vector
-from cpls.design import DimPair, assemble_gram, assemble_z, build_design, empirical_norm_sq, inv_opnorm, subsystem
+from cpls.design import DimPair, build_design, build_prefix_designs, empirical_norm_sq, inv_opnorm, subsystem
 from cpls.simulate import GridSpec, PathSample
 
 from conftest import make_sample
@@ -31,7 +31,7 @@ class TestDimPair:
 
     def test_exceeding_paths_rejected(self, small_sample):
         with pytest.raises(ValueError):
-            assemble_gram(small_sample, TRIG, TRIG, DimPair(4, 2))
+            build_design(small_sample, TRIG, TRIG, DimPair(4, 2))
 
 
 class TestAssembleGram:
@@ -41,7 +41,7 @@ class TestAssembleGram:
         c = 0.7
         grid = GridSpec(n_steps=6, dt=0.25, drop_first=0)
         sample = make_sample(grid, np.full((2, 7), c), np.zeros((2, 7)))
-        gram = assemble_gram(sample, LAGUERRE, TRIG, DimPair(1, 0))
+        gram = build_design(sample, LAGUERRE, TRIG, DimPair(1, 0)).gram
         assert gram.shape == (1, 1)
         assert gram[0, 0] == pytest.approx(2.0 * math.exp(-2 * c), rel=1e-12)
 
@@ -52,7 +52,7 @@ class TestAssembleGram:
         y = np.array([[0.3, 0.6, 0.1], [0.2, 0.7, 0.5]])
         sample = make_sample(grid, x, y)
         dims = DimPair(2, 1)
-        gram = assemble_gram(sample, TRIG, TRIG_NO_CONST, dims)
+        gram = build_design(sample, TRIG, TRIG_NO_CONST, dims).gram
         t_norm = 2 * 0.5  # T - t0 = 1.0
         k = dims.total
         expected = np.zeros((k, k))
@@ -68,7 +68,7 @@ class TestAssembleGram:
 
     def test_quadratic_form_equals_empirical_norm(self, small_sample):
         dims = DimPair(3, 2)
-        gram = assemble_gram(small_sample, TRIG, TRIG_NO_CONST, dims)
+        gram = build_design(small_sample, TRIG, TRIG_NO_CONST, dims).gram
         rng = np.random.default_rng(0)
         for _ in range(20):
             coeffs = rng.standard_normal(dims.total)
@@ -76,7 +76,7 @@ class TestAssembleGram:
             assert coeffs @ gram @ coeffs == pytest.approx(direct, abs=1e-10, rel=1e-10)
 
     def test_symmetry_and_psd(self, small_sample):
-        gram = assemble_gram(small_sample, TRIG, TRIG_NO_CONST, DimPair(3, 3))
+        gram = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(3, 3)).gram
         np.testing.assert_allclose(gram, gram.T, atol=1e-12)
         assert np.linalg.eigvalsh(gram)[0] >= -1e-10
 
@@ -84,25 +84,25 @@ class TestAssembleGram:
         big = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(3, 3))
         for m1, m2 in [(1, 1), (2, 3), (3, 1), (1, 2)]:
             sub = subsystem(big, DimPair(m1, m2))
-            direct_gram = assemble_gram(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2))
-            direct_z = assemble_z(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2))
+            direct_gram = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2)).gram
+            direct_z = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2)).zvec
             np.testing.assert_allclose(sub.gram, direct_gram, atol=1e-12)
             np.testing.assert_allclose(sub.zvec, direct_z, atol=1e-12)
 
     def test_trapezoid_rule_option(self, small_sample):
         dims = DimPair(2, 1)
-        left = assemble_gram(small_sample, TRIG, TRIG_NO_CONST, dims, rule="left")
-        trap = assemble_gram(small_sample, TRIG, TRIG_NO_CONST, dims, rule="trapezoid")
+        left = build_design(small_sample, TRIG, TRIG_NO_CONST, dims, rule="left").gram
+        trap = build_design(small_sample, TRIG, TRIG_NO_CONST, dims, rule="trapezoid").gram
         assert not np.allclose(left, trap)
         with pytest.raises(ValueError):
-            assemble_gram(small_sample, TRIG, TRIG_NO_CONST, dims, rule="midpoint")
+            build_design(small_sample, TRIG, TRIG_NO_CONST, dims, rule="midpoint")
 
 
 class TestAssembleZ:
     def test_zero_increments_give_zero_vector(self):
         grid = GridSpec(n_steps=3, dt=0.5, drop_first=0)
         sample = make_sample(grid, np.full((2, 4), 0.3), np.random.default_rng(1).random((2, 4)))
-        z = assemble_z(sample, TRIG, TRIG_NO_CONST, DimPair(2, 2))
+        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(2, 2)).zvec
         np.testing.assert_array_equal(z, np.zeros(4))
 
     def test_single_path_hand_sum(self):
@@ -110,7 +110,7 @@ class TestAssembleZ:
         x = np.array([[0.2, 0.7, 0.4]])
         y = np.array([[0.5, 0.1, 0.9]])
         sample = make_sample(grid, x, y)
-        z = assemble_z(sample, TRIG, TRIG_NO_CONST, DimPair(1, 0))
+        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(1, 0)).zvec
         t_norm = 1.0
         expected = (1.0 * (0.7 - 0.2) + 1.0 * (0.4 - 0.7)) / t_norm
         assert z[0] == pytest.approx(expected, abs=1e-14)
@@ -126,8 +126,8 @@ class TestAssembleZ:
         s1 = make_sample(toy_grid, base, y)
         s2 = make_sample(toy_grid, bumped, y)
         dims = DimPair(2, 1)
-        z1 = assemble_z(s1, TRIG, TRIG_NO_CONST, dims)
-        z2 = assemble_z(s2, TRIG, TRIG_NO_CONST, dims)
+        z1 = build_design(s1, TRIG, TRIG_NO_CONST, dims).zvec
+        z2 = build_design(s2, TRIG, TRIG_NO_CONST, dims).zvec
         t_norm = toy_grid.total_time - toy_grid.t0
         v_last = np.concatenate([
             eval_vector(TRIG, 2, base[0, -2]),
@@ -149,7 +149,7 @@ class TestAssembleZ:
         gaps = np.zeros((n_rep, dims.total))
         for r in range(n_rep):
             s = generate_sample(model, spec, grid, 3, seed=10_000 + r)
-            z = assemble_z(s, HERMITE, HERMITE, dims)
+            z = build_design(s, HERMITE, HERMITE, dims).zvec
             # inner product of each basis member with (a, b) under the same
             # left-point rule: sum_l v(s_l) (a(X_l) + b(Y_l)) dt / (N T0)
             lo, hi = grid.drop_first, grid.n_steps
@@ -195,6 +195,74 @@ def test_block_assembly_matches_pointwise_reference(n_paths, n_window, drop, m1,
     np.testing.assert_array_equal(got.gram, got.gram.T)
     assert np.abs(got.gram - gram).max() <= 1e-13 * np.abs(gram).max()
     assert np.abs(got.zvec - zvec).max() <= 1e-13 * max(np.abs(zvec).max(), 1e-300)
+
+
+_COUNT = st.one_of(
+    st.integers(1, design._PATH_BLOCK - 1),  # inside the first block
+    st.sampled_from([design._PATH_BLOCK * j for j in (1, 2, 3)]),  # at a block boundary
+    st.integers(design._PATH_BLOCK + 1, 3 * design._PATH_BLOCK + 5),  # inside a later block
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(_COUNT, min_size=1, max_size=4, unique=True).map(sorted),
+    extra=st.integers(0, design._PATH_BLOCK + 3),
+    n_window=st.integers(1, 6),
+    drop=st.integers(0, 2),
+    m1=st.integers(0, 5),
+    m2=st.integers(0, 5),
+    phi=st.sampled_from(FAMILIES),
+    psi=st.sampled_from(FAMILIES),
+    rule=st.sampled_from(["left", "trapezoid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_designs_equal_designs_of_prefix_samples(counts, extra, n_window, drop, m1, m2, phi, psi, rule, seed):
+    # One pass checkpointed at each count, below a block, at a block
+    # boundary or inside a block, gives bitwise the design of the sample's
+    # first n paths; paths after the last count are never read.
+    m1, m2 = min(m1, counts[0]), min(m2, counts[0])
+    if m1 + m2 == 0:
+        m1 = 1
+    grid = GridSpec(n_steps=drop + n_window, dt=0.05, drop_first=drop)
+    rng = np.random.default_rng(seed)
+    shape = (counts[-1] + extra, grid.n_steps + 1)
+    sample = make_sample(grid, rng.uniform(-1.5, 3.0, shape), rng.uniform(-1.5, 3.0, shape))
+    dims = DimPair(m1, m2)
+    t_norm = grid.total_time
+    got = build_prefix_designs(sample, phi, psi, dims, counts, t_norm, rule)
+    assert len(got) == len(counts)
+    for n, system in zip(counts, got):
+        prefix = make_sample(grid, sample.x[:n], sample.y[:n])
+        ref = build_design(prefix, phi, psi, dims, t_norm, rule)
+        np.testing.assert_array_equal(system.gram, ref.gram)
+        np.testing.assert_array_equal(system.zvec, ref.zvec)
+        np.testing.assert_array_equal(system.dvec, ref.dvec)
+        assert system.t_norm == ref.t_norm
+
+
+@pytest.mark.parametrize("rule", ["left", "trapezoid"])
+def test_prefix_designs_at_the_benchmark_size(rule):
+    # The table1 case: N = 400 (inside a block, 12 x 32 + 16) checkpointed
+    # in the N = 1000 pass at the default 39 x 39 bound, where the BLAS
+    # blocks its products.
+    from cpls.simulate import explanatory_by_name, generate_sample, make_model
+
+    sample = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), 1000, seed=4)
+    dims = DimPair(39, 39)
+    counts = (64, 400, 1000)
+    for n, system in zip(counts, build_prefix_designs(sample, HERMITE, HERMITE, dims, counts, rule=rule)):
+        prefix = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), n, seed=4)
+        ref = build_design(prefix, HERMITE, HERMITE, dims, rule=rule)
+        np.testing.assert_array_equal(system.gram, ref.gram)
+        np.testing.assert_array_equal(system.zvec, ref.zvec)
+
+
+@pytest.mark.parametrize("counts", [(), (5, 5), (6, 4), (4, 13)])
+def test_prefix_counts_must_increase_within_the_sample(small_sample, counts):
+    sample = make_sample(small_sample.grid, np.tile(small_sample.x, (4, 1)), np.tile(small_sample.y, (4, 1)))
+    with pytest.raises(ValueError):
+        build_prefix_designs(sample, TRIG, TRIG_NO_CONST, DimPair(1, 1), counts)
 
 
 _DESIGN_CHILD = """

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,13 @@ from cpls.selection import SelectionConfig
 from cpls.simulate import GridSpec, SdeModel, explanatory_by_name, generate_sample, make_model
 
 from conftest import flaky_quantile_box, make_sample
+
+
+def assert_same_records(got, expected):
+    """Every field of every repetition record equal, arrays bit for bit."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_equal(dataclasses.asdict(a), dataclasses.asdict(b))
 
 
 def tiny_config(**kw):
@@ -137,23 +145,63 @@ class TestRunExperiment:
         import cpls.experiments as expmod
 
         pools = []
+        sizes = []
         real_pool = expmod.worker_pool
+        real_sample = expmod.generate_sample
 
         def counting_pool(workers):
             pools.append(workers)
             return real_pool(workers)
 
+        def counting_sample(model, spec, grid, n_paths, seed):
+            sizes.append(n_paths)
+            return real_sample(model, spec, grid, n_paths, seed)
+
         monkeypatch.setattr(expmod, "worker_pool", counting_pool)
-        cells = [(1, "A", 8), (2, "B", 10), (3, "B", 8)]
-        pooled = list(run_cells(cells, 2, seed=6, config=tiny_config(), workers=2))
-        assert pools == [2]
-        for (model_id, y_type, n_paths), report in zip(cells, pooled):
-            serial = run_experiment(model_id, y_type, n_paths, 2, seed=6, config=tiny_config())
-            assert (report.model_id, report.y_type, report.n_paths) == (model_id, y_type, n_paths)
-            assert report.summary == serial.summary
-            for a, b in zip(serial.per_rep, report.per_rep):
-                assert a.rep == b.rep and a.dims == b.dims and a.oracle_dims == b.oracle_dims
-                np.testing.assert_array_equal(a.theta, b.theta)
+        monkeypatch.setattr(expmod, "generate_sample", counting_sample)
+        # (1, A) at N = 8 and 12 share one 4 x 3 scan rectangle, so one
+        # sample; (2, B) at N = 3 scans 3 x 3 and at N = 10 scans 4 x 3, so
+        # each N draws its own.
+        cells = [(1, "A", 8), (2, "B", 10), (1, "A", 12), (3, "B", 8), (2, "B", 3)]
+        serial = {cell: run_experiment(*cell, 2, seed=6, config=tiny_config()) for cell in cells}
+        for workers in (1, 2):
+            pools.clear()
+            sizes.clear()
+            pooled = list(run_cells(cells, 2, seed=6, config=tiny_config(), workers=workers))
+            assert pools == ([2] if workers == 2 else [])
+            if workers == 1:  # spawned workers do not see the counting wrapper
+                assert sorted(sizes) == [3, 3, 8, 8, 10, 10, 12, 12]
+            assert [(r.model_id, r.y_type, r.n_paths) for r in pooled] == cells
+            for cell, report in zip(cells, pooled):
+                assert report.summary == serial[cell].summary
+                assert_same_records(report.per_rep, serial[cell].per_rep)
+
+    def test_diverging_path_beyond_the_small_n_fails_only_the_large_n(self, monkeypatch):
+        # Repetition 1's sample diverges at path 9, which only N = 12 draws:
+        # the shared step fails, each N reruns on its own, and N = 8 keeps
+        # the record of a standalone run.
+        import cpls.experiments as expmod
+        from cpls.simulate import SimulationError
+
+        real_sample = expmod.generate_sample
+        sizes = []
+
+        def diverging(model, spec, grid, n_paths, seed):
+            sizes.append(n_paths)
+            if seed == rep_seed(6, 1) and n_paths > 9:
+                raise SimulationError("path 9 became non-finite at step 5", path=9, step=5)
+            return real_sample(model, spec, grid, n_paths, seed)
+
+        monkeypatch.setattr(expmod, "generate_sample", diverging)
+        small, large = run_cells([(2, "B", 8), (2, "B", 12)], 2, seed=6, config=tiny_config())
+        assert sizes == [12, 12, 8, 12]  # rep 0 shared; rep 1 shared, then each N alone
+        monkeypatch.undo()
+        assert_same_records(small.per_rep, run_experiment(2, "B", 8, 2, seed=6, config=tiny_config()).per_rep)
+        assert small.n_failed == 0
+        assert large.n_failed == 1 and large.failures == {"SimulationError": 1}
+        assert large.per_rep[1].error == "SimulationError: path 9 became non-finite at step 5"
+        alone = run_experiment(2, "B", 12, 1, seed=6, config=tiny_config())
+        assert_same_records(large.per_rep[:1], alone.per_rep)
 
     def test_summary_recomputable_from_per_rep(self):
         report = run_experiment(2, "B", 10, 5, seed=9, config=tiny_config())
