@@ -17,7 +17,6 @@ from .bases import (
     TRIG_NO_CONST,
     delta_vector,
     eval_matrix,
-    eval_vector,
     family_by_name,
     sup_norm_bound,
 )
@@ -50,7 +49,6 @@ from .selection import (
     SelectionConfig,
     SelectionResult,
     select_adaptive,
-    select_oracle,
 )
 from .simulate import (
     ExplanatorySpec,
@@ -63,8 +61,6 @@ from .simulate import (
     explanatory_by_name,
     generate_sample,
     make_model,
-    simulate_x,
-    simulate_y,
 )
 
 __version__ = "0.1.0"

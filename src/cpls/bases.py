@@ -195,15 +195,6 @@ def eval_matrix(family: BasisFamily, m: int, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(_hermite_rows(x, m), 0, -1))
 
 
-def eval_vector(family: BasisFamily, m: int, x: float) -> np.ndarray:
-    """Evaluate (phi_1(x), ..., phi_m(x)) at a single point."""
-    m = _check_m(m)
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return eval_matrix(family, m, np.asarray(x))
-
-
 def delta_vector(family: BasisFamily, m: int) -> np.ndarray:
     """Integrals of the first ``m`` family members over the support.
 
@@ -244,14 +235,8 @@ def _hermite_sup_grid(m: int) -> float:
     n = int(round(2 * half / 1e-3)) + 1
     x = np.linspace(-half, half, n)
     total = np.zeros_like(x)
-    h_prev = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    total += h_prev * h_prev
-    if m > 1:
-        h = SQRT2 * x * h_prev
+    for h in _hermite_rows(x, m):
         total += h * h
-        for k in range(1, m - 1):
-            h, h_prev = x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1)) * h_prev, h
-            total += h * h
     return float(total.max()) * (1.0 + 1e-6)
 
 

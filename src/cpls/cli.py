@@ -25,16 +25,15 @@ import os
 import platform
 import sys
 import time
-import traceback
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .bases import family_by_name, orthonormality_residual
+from .bases import BasisKind, family_by_name, orthonormality_residual
 from .design import subsystem
-from .estimator import SingularDesignError, StabilityRule
+from .estimator import StabilityRule
 from .experiments import (
     BLAS_THREAD_VARS,
     ExperimentConfig,
@@ -45,7 +44,6 @@ from .experiments import (
     run_experiment,
 )
 from .selection import (
-    SCAN_BOUND,
     SelectionConfig,
     criterion_table_rows,
     scan_dimension_grid,
@@ -53,38 +51,41 @@ from .selection import (
 )
 from .simulate import (
     GridSpec,
-    SimulationError,
     explanatory_by_name,
     generate_sample,
     make_model,
 )
 
+_PROTOCOL = ExperimentConfig()
+
+#: Built-in settings: the benchmark protocol of ``ExperimentConfig()`` plus
+#: the run's own choices (model, Y type, N, repetitions, seed, pool size,
+#: retained curves).
 DEFAULTS = {
     "model": 2,
     "y": "A",
     "n": 400,
     "reps": 50,
     "seed": 0,
-    "basis_phi": "hermite",
-    "basis_psi": "hermite",
-    "kappa": 8.0,
-    "max_m1": SCAN_BOUND,
-    "max_m2": SCAN_BOUND,
-    "stability": "practical",
-    "cutoff": 1e14,
-    "r": 7.0,
-    "n_steps": 500,
-    "dt": 0.02,
-    "drop": 20,
-    "sigma": 1.5,
-    "sigma_y": 2.0,
-    "x0": 0.0,
+    "basis_phi": _PROTOCOL.phi.name,
+    "basis_psi": _PROTOCOL.psi.name,
+    "kappa": _PROTOCOL.selection.kappa,
+    "max_m1": _PROTOCOL.selection.max_m1,
+    "max_m2": _PROTOCOL.selection.max_m2,
+    "stability": _PROTOCOL.selection.stability.mode,
+    "cutoff": _PROTOCOL.selection.stability.cutoff,
+    "r": _PROTOCOL.selection.stability.r,
+    "n_steps": _PROTOCOL.grid.n_steps,
+    "dt": _PROTOCOL.grid.dt,
+    "drop": _PROTOCOL.grid.drop_first,
+    "sigma": _PROTOCOL.sigma,
+    "sigma_y": _PROTOCOL.sigma_y,
+    "x0": _PROTOCOL.x0,
     "threads": 1,
     "curves": 0,
 }
 
-_INT_KEYS = {"model", "n", "reps", "seed", "max_m1", "max_m2", "n_steps", "drop", "threads", "curves"}
-_FLOAT_KEYS = {"kappa", "cutoff", "r", "dt", "sigma", "sigma_y", "x0"}
+_BASIS_NAMES = [kind.value for kind in BasisKind]
 
 
 def _fmt(value) -> str:
@@ -103,7 +104,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a plain key=value config file (``#`` starts a comment)."""
+    """Parse a plain key=value config file (``#`` starts a comment).
+
+    Each value takes the type of the key's built-in default.
+    """
     settings: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,12 +117,9 @@ def load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in _INT_KEYS:
-            settings[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            settings[key] = float(value)
-        else:
-            settings[key] = value
+        if key not in DEFAULTS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        settings[key] = type(DEFAULTS[key])(value)
     return settings
 
 
@@ -287,16 +288,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     for report in run_cells(cells, settings["reps"], settings["seed"], config,
                             workers=settings["threads"]):
-        s = report.summary
-        rows.append([
-            report.model_id, report.y_type, report.n_paths,
-            s.get("mse100_a_mean", math.nan), s.get("mse100_a_std", math.nan),
-            s.get("mse100_oracle_a_mean", math.nan), s.get("mse100_oracle_a_std", math.nan),
-            s.get("dim_a_mean", math.nan), s.get("dim_oracle_a_mean", math.nan),
-            s.get("mse100_b_mean", math.nan), s.get("mse100_b_std", math.nan),
-            s.get("mse100_oracle_b_mean", math.nan), s.get("mse100_oracle_b_std", math.nan),
-            s.get("dim_b_mean", math.nan), s.get("dim_oracle_b_mean", math.nan),
-        ])
+        row_a, row_b = _summary_rows(report.summary)
+        rows.append([report.model_id, report.y_type, report.n_paths, *row_a[1:], *row_b[1:]])
         if report.n_failed:
             failures[f"{report.model_id}{report.y_type}-{report.n_paths}"] = report.failures
         print(f"done: model {report.model_id}, Y ({report.y_type}), N = {report.n_paths}")
@@ -305,7 +298,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     _write_meta(
         out / "table1_meta.json",
         settings,
-        {"rows": len(rows), "failures": failures, "workers": settings["threads"], "wall_s": wall_s},
+        {"rep_seeds": [rep_seed(settings["seed"], r) for r in range(settings["reps"])],
+         "rows": len(rows), "failures": failures, "workers": settings["threads"], "wall_s": wall_s},
     )
     print(f"wrote {out / 'table1.csv'} ({len(rows)} rows)")
     return 0
@@ -384,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", type=float)
         p.add_argument("--max-m1", dest="max_m1", type=int)
         p.add_argument("--max-m2", dest="max_m2", type=int)
-        p.add_argument("--basis-phi", dest="basis_phi", choices=["trig", "trig-noconst", "laguerre", "hermite"])
-        p.add_argument("--basis-psi", dest="basis_psi", choices=["trig", "trig-noconst", "laguerre", "hermite"])
+        p.add_argument("--basis-phi", dest="basis_phi", choices=_BASIS_NAMES)
+        p.add_argument("--basis-psi", dest="basis_psi", choices=_BASIS_NAMES)
         p.add_argument("--stability", choices=["practical", "theoretical"])
         p.add_argument("--cutoff", type=float)
         p.add_argument("--r", type=float)
@@ -417,27 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_bas = sub.add_parser("bases-check", help="orthonormality residual of a basis family")
-    p_bas.add_argument("--basis", required=True, choices=["trig", "trig-noconst", "laguerre", "hermite"])
+    p_bas.add_argument("--basis", required=True, choices=_BASIS_NAMES)
     p_bas.add_argument("--m", type=int, required=True)
     p_bas.set_defaults(handler=_cmd_bases_check)
     return parser
-
-
-_MODULE_BY_EXC = {
-    SimulationError: "sde simulation",
-    SingularDesignError: "estimator",
-}
-
-
-def _failing_module(exc: BaseException) -> str:
-    for exc_type, name in _MODULE_BY_EXC.items():
-        if isinstance(exc, exc_type):
-            return name
-    for frame in reversed(traceback.extract_tb(exc.__traceback__)):
-        parts = Path(frame.filename).parts
-        if "cpls" in parts:
-            return Path(frame.filename).stem
-    return "cpls"
 
 
 def main(argv=None) -> int:
@@ -446,7 +423,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except Exception as exc:  # argparse errors exit(2) before reaching here
-        print(f"error [{_failing_module(exc)}]: {exc}", file=sys.stderr)
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 
 

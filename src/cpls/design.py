@@ -12,8 +12,7 @@ window [t0, T] with left-point Riemann sums:
 
 ``T0`` defaults to the window length T - t0; the experiment protocol
 normalizes by the full horizon T instead, which callers select via
-``t_norm``. The quadrature rule for the ds-integrals is configurable
-("left" or "trapezoid"); the dX-sums are always left-point.
+``t_norm``.
 
 The sums run over blocks of ``_PATH_BLOCK`` paths, in a fixed order, so
 reruns give the same bits. Each block is one reused buffer with one row per
@@ -65,14 +64,12 @@ class DimPair:
 
 @dataclass
 class DesignSystem:
-    """Assembled (gram, zvec, dvec) at a dimension pair, plus the window."""
+    """Assembled (gram, zvec, dvec) at a dimension pair, plus the time normalizer."""
 
     dims: DimPair
     gram: np.ndarray
     zvec: np.ndarray
     dvec: np.ndarray
-    t0: float
-    T: float
     t_norm: float
 
     @property
@@ -85,17 +82,6 @@ def _check_dims(n_paths: int, dims: DimPair) -> None:
         raise ValueError(
             f"dimensions {dims} exceed the number of paths {n_paths}"
         )
-
-
-def _time_weights(sample: PathSample, rule: str) -> np.ndarray:
-    n_window = sample.grid.n_steps - sample.grid.drop_first
-    w = np.full(n_window, sample.grid.dt)
-    if rule == "trapezoid":
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    elif rule != "left":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    return w
 
 
 def _resolve_t_norm(sample: PathSample, t_norm: float | None) -> float:
@@ -142,7 +128,6 @@ def _accumulate(
     psi: BasisFamily,
     dims: DimPair,
     t_norm: float | None,
-    rule: str,
     counts: Sequence[int],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gram matrix and observation vector of the first ``n`` paths, for each ``n`` in ``counts``.
@@ -152,9 +137,7 @@ def _accumulate(
     in ``[:k, k]``. NumPy computes that product with BLAS ``syrk``, which
     splits the output among its threads, never the sum over columns, so the
     sums are bitwise the same at every BLAS thread count. Every left-point
-    weight is ``dt``, which multiplies the sums once, at the end; a column
-    whose weight differs (the trapezoid rule's first and last) has the
-    difference subtracted through a product of that column alone.
+    weight is ``dt``, which multiplies the sums once, at the end.
 
     ``counts`` is strictly increasing, and the paths after the last count
     are not read. Each count checkpoints the running sums (see the module
@@ -164,24 +147,15 @@ def _accumulate(
         raise ValueError(f"path counts {counts} must increase strictly up to {sample.n_paths}")
     _check_dims(counts[0], dims)
     t_norm = _resolve_t_norm(sample, t_norm)
-    w = _time_weights(sample, rule)
     dt = sample.grid.dt
-    edges = [(j, dt - w[j]) for j in np.flatnonzero(w != dt)]
     lo = sample.grid.drop_first
     hi = sample.grid.n_steps
     k = dims.total
     sums = np.zeros((k + 1, k + 1))
-    excess = np.zeros((k, k))
 
-    def add(block, sums, excess):
-        sums += block @ block.T
-        for j, dw in edges:
-            col = block[:k, j :: hi - lo]
-            excess += dw * (col @ col.T)
-
-    def normalized(n, sums, excess):
+    def normalized(n, sums):
         scale = n * t_norm
-        gram = (dt * sums[:k, :k] - excess) / scale
+        gram = dt * sums[:k, :k] / scale
         return 0.5 * (gram + gram.T), sums[:k, k] / scale
 
     out = []
@@ -194,12 +168,11 @@ def _accumulate(
         )
         for n in counts:
             if rows.start < n < rows.stop:
-                part_sums, part_excess = sums.copy(), excess.copy()
-                add(block[:, : (n - rows.start) * (hi - lo)], part_sums, part_excess)
-                out.append(normalized(n, part_sums, part_excess))
-        add(block, sums, excess)
+                part = block[:, : (n - rows.start) * (hi - lo)]
+                out.append(normalized(n, sums + part @ part.T))
+        sums += block @ block.T
         if rows.stop in counts:
-            out.append(normalized(rows.stop, sums, excess))
+            out.append(normalized(rows.stop, sums))
     return out
 
 
@@ -210,7 +183,6 @@ def empirical_norm_sq(
     coeffs: np.ndarray,
     dims: DimPair,
     t_norm: float | None = None,
-    rule: str = "left",
 ) -> float:
     """Squared empirical norm of the expansion with the given coefficients.
 
@@ -222,7 +194,7 @@ def empirical_norm_sq(
     if coeffs.shape != (dims.total,):
         raise ValueError(f"coeffs must have length {dims.total}, got {coeffs.shape}")
     t0_norm = _resolve_t_norm(sample, t_norm)
-    w = _time_weights(sample, rule)
+    w = np.full(sample.grid.n_steps - sample.grid.drop_first, sample.grid.dt)
     total = 0.0
     for rows, block in _path_blocks(sample, phi, psi, dims, sample.n_paths):
         vals = (coeffs @ block).reshape(rows.stop - rows.start, w.size)
@@ -254,10 +226,9 @@ def build_design(
     psi: BasisFamily,
     dims: DimPair,
     t_norm: float | None = None,
-    rule: str = "left",
 ) -> DesignSystem:
     """Assemble the complete design system at ``dims`` in one pass."""
-    return build_prefix_designs(sample, phi, psi, dims, (sample.n_paths,), t_norm, rule)[0]
+    return build_prefix_designs(sample, phi, psi, dims, (sample.n_paths,), t_norm)[0]
 
 
 def build_prefix_designs(
@@ -267,7 +238,6 @@ def build_prefix_designs(
     dims: DimPair,
     counts: Sequence[int],
     t_norm: float | None = None,
-    rule: str = "left",
 ) -> list[DesignSystem]:
     """Designs of the first ``n`` paths, for each ``n`` in the increasing ``counts``, in one pass.
 
@@ -276,16 +246,8 @@ def build_prefix_designs(
     """
     dvec = np.concatenate([np.zeros(dims.m1), delta_vector(psi, dims.m2) if dims.m2 else np.zeros(0)])
     return [
-        DesignSystem(
-            dims=dims,
-            gram=gram,
-            zvec=zvec,
-            dvec=dvec,
-            t0=sample.grid.t0,
-            T=sample.grid.total_time,
-            t_norm=_resolve_t_norm(sample, t_norm),
-        )
-        for gram, zvec in _accumulate(sample, phi, psi, dims, t_norm, rule, tuple(counts))
+        DesignSystem(dims=dims, gram=gram, zvec=zvec, dvec=dvec, t_norm=_resolve_t_norm(sample, t_norm))
+        for gram, zvec in _accumulate(sample, phi, psi, dims, t_norm, tuple(counts))
     ]
 
 
@@ -307,12 +269,4 @@ def subsystem(system: DesignSystem, dims: DimPair) -> DesignSystem:
     else:
         idx = np.concatenate([np.arange(dims.m1), big.m1 + np.arange(dims.m2)])
         gram, zvec, dvec = system.gram[np.ix_(idx, idx)], system.zvec[idx], system.dvec[idx]
-    return DesignSystem(
-        dims=dims,
-        gram=gram,
-        zvec=zvec,
-        dvec=dvec,
-        t0=system.t0,
-        T=system.T,
-        t_norm=system.t_norm,
-    )
+    return DesignSystem(dims=dims, gram=gram, zvec=zvec, dvec=dvec, t_norm=system.t_norm)

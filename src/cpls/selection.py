@@ -318,24 +318,6 @@ def select_oracle_from_scan(scan: DimensionScan, truth: SdeModel, bounds) -> Sel
     return _select(scan, lambda dims: sum(errors[dims]), lambda dims: 0.0)
 
 
-def select_oracle(
-    sample: PathSample,
-    phi: BasisFamily,
-    psi: BasisFamily,
-    truth: SdeModel,
-    bounds,
-    config: SelectionConfig,
-) -> SelectionResult:
-    """Select the pair minimizing the true integrated squared error.
-
-    ``bounds`` is a quantile box with attributes ``a_x, b_x, a_y, b_y``
-    (see :class:`cpls.experiments.QuantileBox`). Requires the true model,
-    so it is available only in simulation studies.
-    """
-    scan = scan_dimension_grid(sample, phi, psi, config)
-    return select_oracle_from_scan(scan, truth, bounds)
-
-
 def criterion_table_rows(result: SelectionResult) -> list[tuple]:
     """Rows (m1, m2, gamma, pen, admissible, criterion) sorted for CSV dumps."""
     rows = []

@@ -194,11 +194,6 @@ def _simulate_y_batch(spec: ExplanatorySpec, grid: GridSpec, seeds: Sequence[int
     return out
 
 
-def simulate_y(spec: ExplanatorySpec, grid: GridSpec, seed: int) -> np.ndarray:
-    """Simulate one explanatory path on the grid (length n_steps + 1)."""
-    return _simulate_y_batch(spec, grid, [seed])[0]
-
-
 def _simulate_x_batch(
     model: SdeModel, y: np.ndarray, grid: GridSpec, seeds: Sequence[int]
 ) -> np.ndarray:
@@ -224,14 +219,6 @@ def _simulate_x_batch(
         i = int(np.argwhere(~np.isfinite(x[:, n]))[0, 0])
         raise SimulationError(f"path {i} became non-finite at step {n}", path=i, step=n)
     return x
-
-
-def simulate_x(model: SdeModel, y_path: np.ndarray, grid: GridSpec, seed: int) -> np.ndarray:
-    """Euler path of X given one explanatory path, from an independent stream."""
-    y_path = np.asarray(y_path, dtype=float)
-    if y_path.shape != (grid.n_steps + 1,):
-        raise ValueError(f"y_path must have length {grid.n_steps + 1}")
-    return _simulate_x_batch(model, y_path[None, :], grid, [seed])[0]
 
 
 def generate_sample(

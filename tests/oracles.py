@@ -99,21 +99,16 @@ def scan_pairwise(design, n_paths, phi, psi, config, event=None):
     return admissible, fits, max_res
 
 
-def design_pointwise(sample, phi, psi, dims, t_norm, rule):
+def design_pointwise(sample, phi, psi, dims, t_norm):
     """(Gram, observation vector) by a plain loop over paths and window points.
 
-    Each point's outer product is weighted as it is added (dt, halved at
-    both ends of the window under the trapezoid rule), and the dX-sums are
-    accumulated point by point: none of the block layout, the deferred dt or
-    the edge correction of :func:`cpls.design.build_design`.
+    Each point's outer product is weighted by dt as it is added, and the
+    dX-sums are accumulated point by point: none of the block layout or the
+    deferred dt of :func:`cpls.design.build_design`.
     """
     from cpls.bases import eval_matrix
 
     lo, hi, dt = sample.grid.drop_first, sample.grid.n_steps, sample.grid.dt
-    weights = np.full(hi - lo, dt)
-    if rule == "trapezoid":
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
     k = dims.total
     gram = np.zeros((k, k))
     zvec = np.zeros(k)
@@ -121,7 +116,7 @@ def design_pointwise(sample, phi, psi, dims, t_norm, rule):
         values = np.hstack([eval_matrix(phi, dims.m1, xs[lo:hi]), eval_matrix(psi, dims.m2, ys[lo:hi])])
         for ell in range(hi - lo):
             v = values[ell]
-            gram += weights[ell] * np.outer(v, v)
+            gram += dt * np.outer(v, v)
             zvec += v * (xs[lo + ell + 1] - xs[lo + ell])
     scale = sample.n_paths * t_norm
     return gram / scale, zvec / scale

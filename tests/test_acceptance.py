@@ -30,8 +30,8 @@ from cpls.simulate import (
     SdeModel,
     explanatory_by_name,
     generate_sample,
+    _simulate_x_batch,
     make_model,
-    simulate_x,
 )
 
 from oracles import constrained_qp_nullspace
@@ -255,7 +255,7 @@ def test_criterion_7_simulator_suite():
         sigma=lambda x: np.zeros_like(x),
         x0=2.0,
     )
-    x = simulate_x(ode_model, np.zeros(501), ode_grid, seed=0)
+    x = _simulate_x_batch(ode_model, np.zeros((1, 501)), ode_grid, [0])[0]
     exact = 0.5 + 1.5 * np.exp(-ode_grid.times())
     ode_gap = float(np.max(np.abs(x - exact)))
     ok_ode = ode_gap < 5 * ode_grid.dt

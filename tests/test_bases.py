@@ -13,11 +13,11 @@ SQRT2 = math.sqrt(2.0)
 
 class TestEvalVector:
     def test_trig_constant_member(self):
-        np.testing.assert_allclose(bases.eval_vector(TRIG, 1, 0.3), [1.0])
+        np.testing.assert_allclose(bases.eval_matrix(TRIG, 1, 0.3), [1.0])
 
     def test_trig_ordering(self):
         x = 0.17
-        vals = bases.eval_vector(TRIG, 5, x)
+        vals = bases.eval_matrix(TRIG, 5, x)
         expected = [
             1.0,
             SQRT2 * math.cos(2 * math.pi * x),
@@ -29,7 +29,7 @@ class TestEvalVector:
 
     def test_trig_noconst_ordering(self):
         x = 0.41
-        vals = bases.eval_vector(TRIG_NO_CONST, 4, x)
+        vals = bases.eval_matrix(TRIG_NO_CONST, 4, x)
         expected = [
             SQRT2 * math.cos(2 * math.pi * x),
             SQRT2 * math.sin(2 * math.pi * x),
@@ -39,33 +39,34 @@ class TestEvalVector:
         np.testing.assert_allclose(vals, expected, rtol=1e-14)
 
     def test_laguerre_at_zero(self):
-        np.testing.assert_allclose(bases.eval_vector(LAGUERRE, 1, 0.0), [SQRT2])
+        np.testing.assert_allclose(bases.eval_matrix(LAGUERRE, 1, 0.0), [SQRT2])
 
     def test_laguerre_matches_direct_polynomial(self):
         # l_k(x) = sqrt(2) L_k(2x) e^{-x} against numpy's Laguerre series
         x = 1.7
-        vals = bases.eval_vector(LAGUERRE, 6, x)
+        vals = bases.eval_matrix(LAGUERRE, 6, x)
         for k in range(6):
             lk = np.polynomial.laguerre.lagval(2 * x, np.eye(6)[k])
             assert vals[k] == pytest.approx(SQRT2 * lk * math.exp(-x), rel=1e-12)
 
     def test_hermite_at_zero(self):
-        vals = bases.eval_vector(HERMITE, 3, 0.0)
+        vals = bases.eval_matrix(HERMITE, 3, 0.0)
         pi4 = math.pi ** -0.25
         np.testing.assert_allclose(vals, [pi4, 0.0, -pi4 / SQRT2], atol=1e-15)
 
     def test_outside_support_is_zero(self):
-        assert np.all(bases.eval_vector(LAGUERRE, 5, -0.3) == 0.0)
-        assert np.all(bases.eval_vector(TRIG, 5, 1.7) == 0.0)
-        assert np.all(bases.eval_vector(TRIG_NO_CONST, 5, -0.1) == 0.0)
+        assert np.all(bases.eval_matrix(LAGUERRE, 5, -0.3) == 0.0)
+        assert np.all(bases.eval_matrix(TRIG, 5, 1.7) == 0.0)
+        assert np.all(bases.eval_matrix(TRIG_NO_CONST, 5, -0.1) == 0.0)
 
     def test_invalid_arguments(self):
+        # m = 0 is legal for eval_matrix (an empty trailing axis); m < 0 is not
         with pytest.raises(ValueError):
-            bases.eval_vector(TRIG, 0, 0.5)
+            bases.eval_matrix(TRIG, -1, 0.5)
         with pytest.raises(ValueError):
-            bases.eval_vector(HERMITE, 3, math.nan)
+            bases.eval_matrix(HERMITE, 3, math.nan)
         with pytest.raises(ValueError):
-            bases.eval_vector(HERMITE, 3, math.inf)
+            bases.eval_matrix(HERMITE, 3, math.inf)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
     def test_finite_up_to_k200(self, family):

@@ -160,6 +160,7 @@ class TestTable1Command:
         assert meta["failures"] == {"1B-400": {"ValueError": 1}, "1B-1000": {"ValueError": 1}}
         assert {"python", "numpy", "scipy", "blas_threads"} <= set(meta)
         assert meta["workers"] == 1 and meta["wall_s"] > 0
+        assert meta["rep_seeds"] == [rep_seed(1, 0)]
         rows = (tmp_path / "table1.csv").read_text().splitlines()
         # cells run in the order (1, A, 400), (1, A, 1000), (1, B, 400), ...
         for line, n in zip(rows[3:5], ("400", "1000")):
@@ -208,13 +209,14 @@ class TestConfigHandling:
             "--seed", "1", "--out", str(tmp_path), *FAST,
         ])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error [ValueError]: n_paths must be >= 1, got 0\n"
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nmodel = 3\nseed = 11\nkappa = 4.0\n")
+        cfg.write_text("# comment\nmodel = 3\nseed = 11\nkappa = 4.0\nmax-m1 = 12\nsigma = 2\n")
         parsed = load_config_file(str(cfg))
-        assert parsed == {"model": 3, "seed": 11, "kappa": 4.0}
+        assert parsed == {"model": 3, "seed": 11, "kappa": 4.0, "max_m1": 12, "sigma": 2.0}
+        assert type(parsed["max_m1"]) is int and type(parsed["sigma"]) is float
         out = tmp_path / "out"
         code = run_cli([
             "experiment", "--config", str(cfg), "--y", "B", "--n", "8", "--reps", "1",
@@ -223,7 +225,15 @@ class TestConfigHandling:
         assert code == 0
         meta = json.loads((out / "experiment_meta.json").read_text())
         assert meta["settings"]["model"] == 3  # from file
+        assert meta["settings"]["sigma"] == 2.0  # from file
+        assert meta["settings"]["max_m1"] == 3  # flag overrides file
         assert meta["settings"]["seed"] == 5  # flag overrides file
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nsigma_x = 2\n")
+        with pytest.raises(ValueError, match="run.cfg:2: unknown key 'sigma_x'"):
+            load_config_file(str(cfg))
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CPLS_OUTPUT_DIR", str(tmp_path / "envout"))

@@ -29,8 +29,6 @@ def make_system(gram, zvec, dvec, dims=None):
         gram=np.asarray(gram, dtype=float),
         zvec=np.asarray(zvec, dtype=float),
         dvec=np.asarray(dvec, dtype=float),
-        t0=0.0,
-        T=1.0,
         t_norm=1.0,
     )
 

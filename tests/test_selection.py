@@ -21,7 +21,6 @@ from cpls.selection import (
     scan_dimension_grid,
     select_adaptive,
     select_adaptive_from_scan,
-    select_oracle,
     select_oracle_from_scan,
 )
 from cpls.simulate import (
@@ -164,16 +163,6 @@ class TestSelectOracle:
         errors = oracle_errors(scan, model, box)
         assert sum(errors[oracle.chosen]) <= sum(errors[adaptive.chosen]) + 1e-15
 
-    def test_standalone_matches_scan_reuse(self, bench_sample):
-        cfg = small_config(max_m1=3, max_m2=3)
-        box = QuantileBox(-1.0, 2.0, -1.0, 1.0)
-        model = make_model(3)
-        standalone = select_oracle(bench_sample, HERMITE, HERMITE, model, box, cfg)
-        scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, cfg)
-        reused = select_oracle_from_scan(scan, model, box)
-        assert standalone.chosen == reused.chosen
-        np.testing.assert_allclose(standalone.fit.theta, reused.fit.theta, atol=1e-12)
-
 
 def test_criterion_table_rows_layout(bench_sample):
     result = select_adaptive(bench_sample, HERMITE, HERMITE, small_config(max_m1=2, max_m2=2))
@@ -237,8 +226,6 @@ def synthetic_design(rng, m1, m2, dependent=None, d_kind="hermite", noise=1e-9):
         gram=gram,
         zvec=rng.standard_normal(k) / 10,
         dvec=np.concatenate([np.zeros(m1), delta]),
-        t0=0.0,
-        T=1.0,
         t_norm=1.0,
     )
 
@@ -389,7 +376,7 @@ from cpls.simulate import make_model
 rng = np.random.default_rng(11)
 v = rng.standard_normal((78, 4000))
 design = DesignSystem(DimPair(39, 39), v @ v.T / 4000, rng.standard_normal(78) / 10,
-                      np.concatenate([np.zeros(39), rng.standard_normal(39)]), 0.0, 1.0, 1.0)
+                      np.concatenate([np.zeros(39), rng.standard_normal(39)]), 1.0)
 scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
 errors = oracle_errors(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0))
 h = hashlib.sha256()

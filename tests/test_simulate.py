@@ -48,7 +48,7 @@ class TestSpecs:
 class TestSimulateY:
     def test_poly_bm_starts_at_zero(self):
         spec = sim.explanatory_by_name("A")
-        y = sim.simulate_y(spec, GridSpec(), seed=3)
+        y = sim._simulate_y_batch(spec, GridSpec(), [3])[0]
         assert y[0] == 0.0
 
     def test_poly_bm_matches_transform_of_bm(self):
@@ -56,7 +56,7 @@ class TestSimulateY:
         # the same increments
         grid = GridSpec(n_steps=50, dt=0.1, drop_first=0)
         spec = sim.explanatory_by_name("A")
-        y = sim.simulate_y(spec, grid, seed=11)
+        y = sim._simulate_y_batch(spec, grid, [11])[0]
         dw = np.random.default_rng(11).standard_normal(50) * math.sqrt(0.1)
         w = np.concatenate([[0.0], np.cumsum(dw)])
         np.testing.assert_allclose(y, 2.0 * w * (1 + w * w), rtol=1e-12)
@@ -115,7 +115,7 @@ class TestSimulateY:
             g=lambda u: u + np.arctan(u),
             h=lambda t: np.asarray(t, dtype=float),
         )
-        y = sim.simulate_y(spec, grid, seed=2)
+        y = sim._simulate_y_batch(spec, grid, [2])[0]
         dw = np.random.default_rng(2).standard_normal(30) * math.sqrt(0.1)
         hmat = np.concatenate([[0.0], np.cumsum(grid.times()[:-1] * dw)])
         np.testing.assert_allclose(y, hmat + np.arctan(hmat), rtol=1e-12)
@@ -125,14 +125,14 @@ class TestSimulateX:
     def test_degenerate_dynamics_constant(self):
         grid = GridSpec(n_steps=20, dt=0.1, drop_first=0)
         model = SdeModel(a=flat(0.0), b=flat(0.0), sigma=flat(0.0), x0=1.25)
-        x = sim.simulate_x(model, np.zeros(21), grid, seed=0)
+        x = sim._simulate_x_batch(model, np.zeros((1, 21)), grid, [0])[0]
         np.testing.assert_array_equal(x, np.full(21, 1.25))
 
     def test_euler_matches_linear_ode(self):
         # a(x) = -x + 0.5, sigma = 0: x(t) = 0.5 + (x0 - 0.5) e^{-t}
         grid = GridSpec(n_steps=500, dt=0.02, drop_first=0)
         model = SdeModel(a=lambda x: -x + 0.5, b=flat(0.0), sigma=flat(0.0), x0=2.0)
-        x = sim.simulate_x(model, np.zeros(501), grid, seed=0)
+        x = sim._simulate_x_batch(model, np.zeros((1, 501)), grid, [0])[0]
         exact = 0.5 + 1.5 * np.exp(-grid.times())
         assert np.max(np.abs(x - exact)) < 5 * grid.dt
 
@@ -153,7 +153,7 @@ class TestSimulateX:
         grid = GridSpec(n_steps=50, dt=0.5, drop_first=0)
         model = SdeModel(a=lambda x: x**3, b=flat(0.0), sigma=flat(0.0), x0=2.0)
         with pytest.raises(SimulationError) as err:
-            sim.simulate_x(model, np.zeros(51), grid, seed=1)
+            sim._simulate_x_batch(model, np.zeros((1, 51)), grid, [1])
         assert err.value.path == 0
         assert err.value.step is not None
 
@@ -191,8 +191,8 @@ class TestGenerateSample:
         spec = sim.explanatory_by_name("B")
         s = sim.generate_sample(model, spec, grid, 5, seed=77)
         for i, (sy, sx) in enumerate(sim.path_seeds(77, 5)):
-            y_i = sim.simulate_y(spec, grid, sy)
-            x_i = sim.simulate_x(model, y_i, grid, sx)
+            y_i = sim._simulate_y_batch(spec, grid, [sy])[0]
+            x_i = sim._simulate_x_batch(model, y_i[None, :], grid, [sx])[0]
             np.testing.assert_allclose(s.y[i], y_i, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s.x[i], x_i, rtol=1e-12, atol=1e-12)
 
