@@ -39,6 +39,7 @@ from cpls.bases import HERMITE, eval_matrix
 from cpls.estimator import evaluate_fit
 from cpls.experiments import (
     MSE_NODES,
+    TABLE1_CELLS,
     ExperimentConfig,
     QuantileBox,
     quantile_box,
@@ -79,8 +80,7 @@ def run_grid(reps: int, seed: int, workers: int) -> None:
               "on-bound adapt/oracle  max m1,m2")
         start = time.time()
         summaries = {}
-        cells = [(m, y, n) for m in (1, 2, 3) for y in ("A", "B") for n in (400, 1000)]
-        for report in run_cells(cells, reps, seed, cfg, workers=workers):
+        for report in run_cells(TABLE1_CELLS, reps, seed, cfg, workers=workers):
             model_id, y_type, n = report.model_id, report.y_type, report.n_paths
             good = [r for r in report.per_rep if not r.failed]
             s = report.summary

@@ -24,7 +24,6 @@ from .design import (
     DesignSystem,
     DimPair,
     build_design,
-    empirical_norm_sq,
     inv_opnorm,
     subsystem,
 )

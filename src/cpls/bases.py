@@ -82,55 +82,41 @@ def _check_m(m: int) -> int:
     return int(m)
 
 
-def _trig_columns(x: np.ndarray, m: int, with_const: bool) -> np.ndarray:
-    out = np.zeros(x.shape + (m,))
+def _trig_rows(x: np.ndarray, m: int, first: int, out: np.ndarray) -> None:
+    # Row k is trig member first + k, zero outside [0, 1]; ``first = 1``
+    # skips the constant: 1, sqrt(2) cos(2 pi j x) for odd c = 2j - 1,
+    # sqrt(2) sin(2 pi j x) for even c = 2j.
+    out[...] = 0.0
     inside = (x >= 0.0) & (x <= 1.0)
-    xi = x[inside]
-    two_pi_x = 2.0 * math.pi * xi
-    for c in range(m):
-        if with_const:
-            if c == 0:
-                col = np.ones_like(xi)
-            elif c % 2 == 1:  # sqrt(2) cos(2 pi j x), j = (c+1)//2
-                col = SQRT2 * np.cos(((c + 1) // 2) * two_pi_x)
-            else:  # sqrt(2) sin(2 pi j x), j = c//2
-                col = SQRT2 * np.sin((c // 2) * two_pi_x)
+    two_pi_x = 2.0 * math.pi * x[inside]
+    for k in range(m):
+        c = first + k
+        if c == 0:
+            row = np.ones_like(two_pi_x)
+        elif c % 2 == 1:
+            row = SQRT2 * np.cos(((c + 1) // 2) * two_pi_x)
         else:
-            if c % 2 == 0:  # sqrt(2) cos(2 pi j x), j = c//2 + 1
-                col = SQRT2 * np.cos((c // 2 + 1) * two_pi_x)
-            else:  # sqrt(2) sin(2 pi j x), j = (c+1)//2
-                col = SQRT2 * np.sin(((c + 1) // 2) * two_pi_x)
-        out[inside, c] = col
-    return out
+            row = SQRT2 * np.sin((c // 2) * two_pi_x)
+        out[k, ...][inside] = row
 
 
-def _laguerre_columns(x: np.ndarray, m: int) -> np.ndarray:
-    # Recurrence on u_k = L_k(2x) exp(-x); |u_k| <= 1, so no overflow even
-    # for very large x where L_k(2x) itself would.
-    out = np.zeros(x.shape + (m,))
+def _laguerre_rows(x: np.ndarray, m: int, out: np.ndarray) -> None:
+    # Recurrence on u_k = L_k(2x) exp(-x), from u_{-1} = 0; |u_k| <= 1, so
+    # no overflow even for very large x where L_k(2x) itself would.
+    out[...] = 0.0
     inside = x >= 0.0
     xi = x[inside]
     z = 2.0 * xi
-    u_prev = np.exp(-xi)
-    out[inside, 0] = SQRT2 * u_prev
-    if m == 1:
-        return out
-    u = (1.0 - z) * u_prev
-    out[inside, 1] = SQRT2 * u
-    for k in range(1, m - 1):
+    u_prev, u = 0.0, np.exp(-xi)
+    for k in range(m):
+        out[k, ...][inside] = SQRT2 * u
         u, u_prev = ((2 * k + 1 - z) * u - k * u_prev) / (k + 1), u
-        out[inside, k + 1] = SQRT2 * u
-    return out
 
 
-def _hermite_rows(x: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    # Member-major layout: each recurrence step writes one row of ``out``
-    # (shape ``(m,) + x.shape``), in place, with the same operation order as
-    # the textbook expression
+def _hermite_rows(x: np.ndarray, m: int, out: np.ndarray) -> None:
+    # Each recurrence step writes one row in place, with the same operation
+    # order as the textbook expression
     # h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}.
-    # Rows are taken as ``out[k, ...]``, a view even when ``x`` is 0-d.
-    if out is None:
-        out = np.empty((m,) + x.shape)
     np.multiply(-0.5 * x, x, out=out[0, ...])
     np.exp(out[0, ...], out=out[0, ...])
     out[0, ...] *= math.pi ** -0.25
@@ -142,57 +128,45 @@ def _hermite_rows(x: np.ndarray, m: int, out: np.ndarray | None = None) -> np.nd
         out[k + 1, ...] *= out[k, ...]
         np.multiply(out[k - 1, ...], math.sqrt(k / (k + 1)), out=tmp)
         out[k + 1, ...] -= tmp
-    return out
 
 
 def eval_rows(
     family: BasisFamily, m: int, x: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """:func:`eval_matrix` in member-major layout, shape ``(m,) + x.shape``.
+    """Evaluate the first ``m`` family members at every point of ``x``, member-major.
 
-    Entry ``[k, ...]`` is member ``k + 1`` at ``x``; the values are bitwise
-    those of :func:`eval_matrix`. The result is C-contiguous, so each member
-    is one contiguous row, which is the cheap layout to fill and to take
-    ``V @ V.T`` products of.
+    Returns an array of shape ``(m,) + x.shape`` whose entry ``[k, ...]`` is
+    member ``k + 1`` at ``x``; points outside the support give zeros, and
+    ``m = 0`` gives an empty leading axis. Every family fills its rows in
+    place, one member at a time, which is the cheap layout to fill and to
+    take ``V @ V.T`` products of.
 
     With ``out`` (shape ``(m,) + x.shape``, for instance a block of rows of
     a larger buffer), the values are written into it and ``out`` is
-    returned. The Hermite recurrence then fills ``out`` in place with no
-    intermediate array; the other families evaluate and copy.
-    """
-    x = np.asarray(x, dtype=float)
-    if out is not None and out.shape != (m,) + x.shape:
-        raise ValueError(f"out must have shape {(m,) + x.shape}, got {out.shape}")
-    if m > 0 and family.kind is BasisKind.HERMITE:
-        if not np.all(np.isfinite(x)):
-            raise ValueError("basis evaluation requires finite arguments")
-        return _hermite_rows(x, _check_m(m), out)
-    rows = np.moveaxis(eval_matrix(family, m, x), -1, 0)
-    if out is None:
-        return np.ascontiguousarray(rows)
-    out[...] = rows
-    return out
-
-
-def eval_matrix(family: BasisFamily, m: int, x: np.ndarray) -> np.ndarray:
-    """Evaluate the first ``m`` family members at every point of ``x``.
-
-    Returns an array of shape ``x.shape + (m,)``; points outside the support
-    contribute zero rows. ``m = 0`` yields an empty trailing axis.
+    returned; otherwise a C-contiguous array is allocated.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("basis evaluation requires finite arguments")
+    m = 0 if m == 0 else _check_m(m)
+    if out is None:
+        out = np.empty((m,) + x.shape)
+    elif out.shape != (m,) + x.shape:
+        raise ValueError(f"out must have shape {(m,) + x.shape}, got {out.shape}")
     if m == 0:
-        return np.zeros(x.shape + (0,))
-    m = _check_m(m)
-    if family.kind is BasisKind.TRIG:
-        return _trig_columns(x, m, with_const=True)
-    if family.kind is BasisKind.TRIG_NO_CONST:
-        return _trig_columns(x, m, with_const=False)
-    if family.kind is BasisKind.LAGUERRE:
-        return _laguerre_columns(x, m)
-    return np.ascontiguousarray(np.moveaxis(_hermite_rows(x, m), 0, -1))
+        return out
+    if family.kind is BasisKind.HERMITE:
+        _hermite_rows(x, m, out)
+    elif family.kind is BasisKind.LAGUERRE:
+        _laguerre_rows(x, m, out)
+    else:
+        _trig_rows(x, m, 0 if family.kind is BasisKind.TRIG else 1, out)
+    return out
+
+
+def eval_matrix(family: BasisFamily, m: int, x: np.ndarray) -> np.ndarray:
+    """:func:`eval_rows` point-major: shape ``x.shape + (m,)``, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(eval_rows(family, m, x), 0, -1))
 
 
 def delta_vector(family: BasisFamily, m: int) -> np.ndarray:
@@ -235,7 +209,7 @@ def _hermite_sup_grid(m: int) -> float:
     n = int(round(2 * half / 1e-3)) + 1
     x = np.linspace(-half, half, n)
     total = np.zeros_like(x)
-    for h in _hermite_rows(x, m):
+    for h in eval_rows(HERMITE, m, x):
         total += h * h
     return float(total.max()) * (1.0 + 1e-6)
 
@@ -266,7 +240,7 @@ _QUAD_DOMAIN = {
 }
 
 
-def quadrature_gram(family: BasisFamily, m: int, n_nodes: int | None = None) -> np.ndarray:
+def quadrature_gram(family: BasisFamily, m: int) -> np.ndarray:
     """Simpson-quadrature Gram matrix of the first ``m`` members.
 
     Unbounded supports are truncated where the members are numerically
@@ -274,13 +248,13 @@ def quadrature_gram(family: BasisFamily, m: int, n_nodes: int | None = None) -> 
     quadrature error.
     """
     m = _check_m(m)
-    lo, hi, default_nodes = _QUAD_DOMAIN[family.kind]
-    x, w = simpson_grid(lo, hi, n_nodes or default_nodes)
+    lo, hi, n_nodes = _QUAD_DOMAIN[family.kind]
+    x, w = simpson_grid(lo, hi, n_nodes)
     vals = eval_matrix(family, m, x)
     return (vals * w[:, None]).T @ vals
 
 
-def orthonormality_residual(family: BasisFamily, m: int, n_nodes: int | None = None) -> float:
+def orthonormality_residual(family: BasisFamily, m: int) -> float:
     """Max absolute deviation of the quadrature Gram from the identity."""
-    gram = quadrature_gram(family, m, n_nodes)
+    gram = quadrature_gram(family, m)
     return float(np.abs(gram - np.eye(_check_m(m))).max())

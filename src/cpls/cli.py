@@ -36,6 +36,7 @@ from .design import subsystem
 from .estimator import StabilityRule
 from .experiments import (
     BLAS_THREAD_VARS,
+    TABLE1_CELLS,
     ExperimentConfig,
     emit_beam,
     quantile_box,
@@ -50,6 +51,8 @@ from .selection import (
     select_adaptive_from_scan,
 )
 from .simulate import (
+    DRIFT_PAIRS,
+    Y_TYPES,
     GridSpec,
     explanatory_by_name,
     generate_sample,
@@ -282,11 +285,10 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _experiment_config(settings)
     out = _out_dir(args)
-    cells = [(m, y, n) for m in (1, 2, 3) for y in ("A", "B") for n in (400, 1000)]
     rows = []
     failures = {}
     start = time.perf_counter()
-    for report in run_cells(cells, settings["reps"], settings["seed"], config,
+    for report in run_cells(TABLE1_CELLS, settings["reps"], settings["seed"], config,
                             workers=settings["threads"]):
         row_a, row_b = _summary_rows(report.summary)
         rows.append([report.model_id, report.y_type, report.n_paths, *row_a[1:], *row_b[1:]])
@@ -380,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-m2", dest="max_m2", type=int)
         p.add_argument("--basis-phi", dest="basis_phi", choices=_BASIS_NAMES)
         p.add_argument("--basis-psi", dest="basis_psi", choices=_BASIS_NAMES)
-        p.add_argument("--stability", choices=["practical", "theoretical"])
+        p.add_argument("--stability", choices=StabilityRule.MODES)
         p.add_argument("--cutoff", type=float)
         p.add_argument("--r", type=float)
         p.add_argument("--n-steps", dest="n_steps", type=int)
@@ -391,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x0", type=float)
 
     p_exp = sub.add_parser("experiment", help="Monte-Carlo run for one configuration")
-    p_exp.add_argument("--model", type=int, choices=[1, 2, 3])
-    p_exp.add_argument("--y", choices=["A", "B"])
+    p_exp.add_argument("--model", type=int, choices=list(DRIFT_PAIRS))
+    p_exp.add_argument("--y", choices=list(Y_TYPES))
     p_exp.add_argument("--n", type=int, help="number of path copies per repetition")
     p_exp.add_argument("--curves", type=int, help="retain and emit this many estimator curves")
     add_common(p_exp)
@@ -403,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(handler=_cmd_table1)
 
     p_fit = sub.add_parser("fit", help="single adaptive fit on one fresh sample")
-    p_fit.add_argument("--model", type=int, choices=[1, 2, 3])
-    p_fit.add_argument("--y", choices=["A", "B"])
+    p_fit.add_argument("--model", type=int, choices=list(DRIFT_PAIRS))
+    p_fit.add_argument("--y", choices=list(Y_TYPES))
     p_fit.add_argument("--n", type=int)
     p_fit.add_argument("--dump-design", action="store_true", help="also write gram/zvec/dvec CSVs")
     add_common(p_fit, with_reps=False)

@@ -1,4 +1,4 @@
-"""Empirical design assembly: Gram matrix, observation vector, norms.
+"""Empirical design assembly: Gram matrix and observation vector.
 
 For a dimension pair (m1, m2), the stacked basis evaluations
 ``v = (phi_1(X), ..., phi_m1(X), psi_1(Y), ..., psi_m2(Y))`` drive three
@@ -17,8 +17,9 @@ normalizes by the full horizon T instead, which callers select via
 The sums run over blocks of ``_PATH_BLOCK`` paths, in a fixed order, so
 reruns give the same bits. Each block is one reused buffer with one row per
 basis member plus a row of X-increments, and one column per (path, window
-point); a single ``buf @ buf.T`` per block yields both the Gram sums and
-the dX-sums (see :func:`_accumulate`).
+point); every basis family writes its rows into the buffer in place, and a
+single ``buf @ buf.T`` per block yields both the Gram sums and the dX-sums
+(see :func:`_accumulate`).
 
 One pass can return the designs of several prefixes of the sample, the
 first n paths for each n asked (:func:`build_prefix_designs`), which is how
@@ -77,67 +78,26 @@ class DesignSystem:
         return self.dims.total
 
 
-def _check_dims(n_paths: int, dims: DimPair) -> None:
-    if dims.m1 > n_paths or dims.m2 > n_paths:
-        raise ValueError(
-            f"dimensions {dims} exceed the number of paths {n_paths}"
-        )
-
-
-def _resolve_t_norm(sample: PathSample, t_norm: float | None) -> float:
-    if t_norm is None:
-        return sample.grid.total_time - sample.grid.t0
-    if not (t_norm > 0):
-        raise ValueError(f"t_norm must be positive, got {t_norm!r}")
-    return float(t_norm)
-
-
-def _path_blocks(
-    sample: PathSample,
-    phi: BasisFamily,
-    psi: BasisFamily,
-    dims: DimPair,
-    n_paths: int,
-    extra_rows: int = 0,
-):
-    """Yield ``(rows, block)`` for each block of at most ``_PATH_BLOCK`` of the first ``n_paths`` paths.
-
-    ``block`` has ``m1 + m2 + extra_rows`` rows and one column per (path,
-    window point) of ``rows``, path-major. Its first ``m1 + m2`` rows hold
-    the stacked basis values at the window's left points; the extra rows are
-    left for the caller. Every block is a view of one buffer allocated per
-    call, so a block is overwritten by the next one.
-    """
-    lo = sample.grid.drop_first
-    hi = sample.grid.n_steps
-    m1, k = dims.m1, dims.total
-    buf = np.empty((k + extra_rows, min(_PATH_BLOCK, n_paths) * (hi - lo)))
-    for start in range(0, n_paths, _PATH_BLOCK):
-        rows = slice(start, min(start + _PATH_BLOCK, n_paths))
-        block = buf[:, : (rows.stop - rows.start) * (hi - lo)]
-        if m1 > 0:
-            eval_rows(phi, m1, sample.x[rows, lo:hi].ravel(), out=block[:m1])
-        if dims.m2 > 0:
-            eval_rows(psi, dims.m2, sample.y[rows, lo:hi].ravel(), out=block[m1:k])
-        yield rows, block
-
-
 def _accumulate(
     sample: PathSample,
     phi: BasisFamily,
     psi: BasisFamily,
     dims: DimPair,
-    t_norm: float | None,
+    t_norm: float,
     counts: Sequence[int],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gram matrix and observation vector of the first ``n`` paths, for each ``n`` in ``counts``.
 
-    Row ``k = m1 + m2`` of each block holds the X-increments, so one
-    ``block @ block.T`` gives the Gram sums in ``[:k, :k]`` and the dX-sums
-    in ``[:k, k]``. NumPy computes that product with BLAS ``syrk``, which
-    splits the output among its threads, never the sum over columns, so the
-    sums are bitwise the same at every BLAS thread count. Every left-point
-    weight is ``dt``, which multiplies the sums once, at the end.
+    The paths run in blocks of at most ``_PATH_BLOCK``, each a view of one
+    buffer with ``m1 + m2 + 1`` rows and one column per (path, window point),
+    path-major. :func:`cpls.bases.eval_rows` writes the stacked basis values
+    at the window's left points into rows ``[:k]``, ``k = m1 + m2``, and row
+    ``k`` holds the X-increments, so one ``block @ block.T`` gives the Gram
+    sums in ``[:k, :k]`` and the dX-sums in ``[:k, k]``. NumPy computes that
+    product with BLAS ``syrk``, which splits the output among its threads,
+    never the sum over columns, so the sums are bitwise the same at every
+    BLAS thread count. Every left-point weight is ``dt``, which multiplies
+    the sums once, at the end.
 
     ``counts`` is strictly increasing, and the paths after the last count
     are not read. Each count checkpoints the running sums (see the module
@@ -145,12 +105,13 @@ def _accumulate(
     """
     if not counts or any(b <= a for a, b in zip(counts, counts[1:])) or counts[-1] > sample.n_paths:
         raise ValueError(f"path counts {counts} must increase strictly up to {sample.n_paths}")
-    _check_dims(counts[0], dims)
-    t_norm = _resolve_t_norm(sample, t_norm)
+    if dims.m1 > counts[0] or dims.m2 > counts[0]:
+        raise ValueError(f"dimensions {dims} exceed the number of paths {counts[0]}")
     dt = sample.grid.dt
     lo = sample.grid.drop_first
     hi = sample.grid.n_steps
-    k = dims.total
+    width = hi - lo
+    m1, k = dims.m1, dims.total
     sums = np.zeros((k + 1, k + 1))
 
     def normalized(n, sums):
@@ -159,47 +120,25 @@ def _accumulate(
         return 0.5 * (gram + gram.T), sums[:k, k] / scale
 
     out = []
-    for rows, block in _path_blocks(sample, phi, psi, dims, counts[-1], extra_rows=1):
-        n_rows = rows.stop - rows.start
+    buf = np.empty((k + 1, min(_PATH_BLOCK, counts[-1]) * width))
+    for start in range(0, counts[-1], _PATH_BLOCK):
+        stop = min(start + _PATH_BLOCK, counts[-1])
+        block = buf[:, : (stop - start) * width]
+        eval_rows(phi, m1, sample.x[start:stop, lo:hi].ravel(), out=block[:m1])
+        eval_rows(psi, dims.m2, sample.y[start:stop, lo:hi].ravel(), out=block[m1:k])
         np.subtract(
-            sample.x[rows, lo + 1 : hi + 1],
-            sample.x[rows, lo:hi],
-            out=block[k].reshape(n_rows, hi - lo),
+            sample.x[start:stop, lo + 1 : hi + 1],
+            sample.x[start:stop, lo:hi],
+            out=block[k].reshape(stop - start, width),
         )
         for n in counts:
-            if rows.start < n < rows.stop:
-                part = block[:, : (n - rows.start) * (hi - lo)]
+            if start < n < stop:
+                part = block[:, : (n - start) * width]
                 out.append(normalized(n, sums + part @ part.T))
         sums += block @ block.T
-        if rows.stop in counts:
-            out.append(normalized(rows.stop, sums))
+        if stop in counts:
+            out.append(normalized(stop, sums))
     return out
-
-
-def empirical_norm_sq(
-    sample: PathSample,
-    phi: BasisFamily,
-    psi: BasisFamily,
-    coeffs: np.ndarray,
-    dims: DimPair,
-    t_norm: float | None = None,
-) -> float:
-    """Squared empirical norm of the expansion with the given coefficients.
-
-    Computed by direct pointwise summation of (tau(X) + nu(Y))^2, not through
-    the Gram quadratic form, so it can serve as an independent cross-check.
-    """
-    _check_dims(sample.n_paths, dims)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (dims.total,):
-        raise ValueError(f"coeffs must have length {dims.total}, got {coeffs.shape}")
-    t0_norm = _resolve_t_norm(sample, t_norm)
-    w = np.full(sample.grid.n_steps - sample.grid.drop_first, sample.grid.dt)
-    total = 0.0
-    for rows, block in _path_blocks(sample, phi, psi, dims, sample.n_paths):
-        vals = (coeffs @ block).reshape(rows.stop - rows.start, w.size)
-        total += float(np.sum((vals * vals) @ w))
-    return total / (sample.n_paths * t0_norm)
 
 
 #: Scale factor for the singularity threshold on the smallest eigenvalue.
@@ -244,9 +183,14 @@ def build_prefix_designs(
     Each is bitwise the design that :func:`build_design` makes of the
     sample's first ``n`` paths (see :func:`_accumulate`).
     """
+    if t_norm is None:
+        t_norm = sample.grid.total_time - sample.grid.t0
+    elif not (t_norm > 0):
+        raise ValueError(f"t_norm must be positive, got {t_norm!r}")
+    t_norm = float(t_norm)
     dvec = np.concatenate([np.zeros(dims.m1), delta_vector(psi, dims.m2) if dims.m2 else np.zeros(0)])
     return [
-        DesignSystem(dims=dims, gram=gram, zvec=zvec, dvec=dvec, t_norm=_resolve_t_norm(sample, t_norm))
+        DesignSystem(dims=dims, gram=gram, zvec=zvec, dvec=dvec, t_norm=t_norm)
         for gram, zvec in _accumulate(sample, phi, psi, dims, t_norm, tuple(counts))
     ]
 

@@ -221,12 +221,14 @@ class StabilityRule:
     ``c_r = (1 - log 2) / (1 + r)``.
     """
 
+    MODES = ("practical", "theoretical")
+
     mode: str = "practical"
     cutoff: float = 1e14
     r: float = 7.0
 
     def __post_init__(self):
-        if self.mode not in ("practical", "theoretical"):
+        if self.mode not in self.MODES:
             raise ValueError(f"unknown stability mode {self.mode!r}")
         if self.cutoff <= 0 or self.r <= 0:
             raise ValueError("cutoff and r must be positive")

@@ -32,6 +32,7 @@ from .design import DesignSystem, DimPair, build_prefix_designs
 from .estimator import FitResult, evaluate_fit
 from .quadrature import simpson_grid
 from .selection import (
+    MSE_NODES,
     DimensionScan,
     SelectionConfig,
     scan_bounds,
@@ -41,6 +42,8 @@ from .selection import (
     select_oracle_from_scan,
 )
 from .simulate import (
+    DRIFT_PAIRS,
+    Y_TYPES,
     GridSpec,
     PathSample,
     SdeModel,
@@ -49,8 +52,10 @@ from .simulate import (
     make_model,
 )
 
-MSE_NODES = 2001
 BEAM_GRID_POINTS = 400
+
+#: The (model_id, y_type, n_paths) cells of the benchmark table, in row order.
+TABLE1_CELLS = tuple((m, y, n) for m in DRIFT_PAIRS for y in Y_TYPES for n in (400, 1000))
 
 
 @dataclass(frozen=True)
@@ -67,11 +72,11 @@ class QuantileBox:
             raise ValueError(f"degenerate quantile box {self}")
 
 
-def quantile_box(sample: PathSample, path_index: int = 0) -> QuantileBox:
-    """Quantile box of one path, burn-in observations excluded."""
+def quantile_box(sample: PathSample) -> QuantileBox:
+    """Quantile box of path 0, burn-in observations excluded."""
     lo = sample.grid.drop_first
-    xs = sample.x[path_index, lo:]
-    ys = sample.y[path_index, lo:]
+    xs = sample.x[0, lo:]
+    ys = sample.y[0, lo:]
     qx = np.quantile(xs, [0.02, 0.98])
     qy = np.quantile(ys, [0.01, 0.99])
     return QuantileBox(a_x=float(qx[0]), b_x=float(qx[1]), a_y=float(qy[0]), b_y=float(qy[1]))
@@ -83,11 +88,10 @@ def mse_box(
     box: QuantileBox,
     phi: BasisFamily,
     psi: BasisFamily,
-    n_nodes: int = MSE_NODES,
 ) -> tuple[float, float]:
     """Box-restricted integrated squared errors of the fitted pair."""
-    xg, wx = simpson_grid(box.a_x, box.b_x, n_nodes)
-    yg, wy = simpson_grid(box.a_y, box.b_y, n_nodes)
+    xg, wx = simpson_grid(box.a_x, box.b_x, MSE_NODES)
+    yg, wy = simpson_grid(box.a_y, box.b_y, MSE_NODES)
     a_hat, b_hat = evaluate_fit(fit, phi, psi, xg, yg)
     ra = a_hat - np.asarray(truth.a(xg), dtype=float)
     rb = b_hat - np.asarray(truth.b(yg), dtype=float)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def simpson_grid(a: float, b: float, n_nodes: int = 2001) -> tuple[np.ndarray, np.ndarray]:
+def simpson_grid(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Return nodes and weights of the composite Simpson rule on [a, b].
 
     ``n_nodes`` must be odd and at least 3 (an even number of subintervals).

@@ -48,7 +48,8 @@ from .estimator import (
 from .quadrature import simpson_grid
 from .simulate import PathSample, SdeModel
 
-ORACLE_NODES = 2001
+#: Simpson nodes per axis of every box-error integral (oracle criterion, box MSE).
+MSE_NODES = 2001
 
 #: Default scan bound for both dimensions: the smallest value at which no
 #: adaptive choice on the benchmark grid sits on the edge of the scan
@@ -287,8 +288,8 @@ def oracle_errors(
     The fits sharing an m1 are evaluated together, one matrix product per
     component.
     """
-    xg, wx = simpson_grid(bounds.a_x, bounds.b_x, ORACLE_NODES)
-    yg, wy = simpson_grid(bounds.a_y, bounds.b_y, ORACLE_NODES)
+    xg, wx = simpson_grid(bounds.a_x, bounds.b_x, MSE_NODES)
+    yg, wy = simpson_grid(bounds.a_y, bounds.b_y, MSE_NODES)
     big = scan.design.dims
     bx = eval_matrix(scan.phi, big.m1, xg)
     by = eval_matrix(scan.psi, big.m2, yg)

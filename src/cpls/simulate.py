@@ -270,15 +270,23 @@ def _b3(y):
     return -0.5 * np.tanh(y)
 
 
-_DRIFT_PAIRS = {1: (_a1, _b1), 2: (_a2, _b2), 3: (_a3, _b3)}
+#: The benchmark drift pair (a, b) of each model id.
+DRIFT_PAIRS = {1: (_a1, _b1), 2: (_a2, _b2), 3: (_a3, _b3)}
+
+#: The explanatory process of each benchmark Y type: its kind and parameters
+#: other than ``sigma_y``.
+Y_TYPES = {
+    "A": {"kind": YKind.POLYNOMIAL_BM},
+    "B": {"kind": YKind.ORNSTEIN_UHLENBECK, "ou_rate": 2.0, "ou_gamma": 1.0},
+}
 
 
 def drift_pair(model_id: int) -> tuple[Callable, Callable]:
-    """The benchmark drift pair (a, b) for model id 1, 2 or 3."""
+    """The benchmark drift pair (a, b) of a model id in ``DRIFT_PAIRS``."""
     try:
-        return _DRIFT_PAIRS[int(model_id)]
+        return DRIFT_PAIRS[int(model_id)]
     except (KeyError, ValueError):
-        raise ValueError(f"unknown model id {model_id!r}; choose 1, 2 or 3") from None
+        raise ValueError(f"unknown model id {model_id!r}; choose from {sorted(DRIFT_PAIRS)}") from None
 
 
 def make_model(model_id: int, sigma: float = 1.5, x0: float = 0.0) -> SdeModel:
@@ -294,9 +302,8 @@ def make_model(model_id: int, sigma: float = 1.5, x0: float = 0.0) -> SdeModel:
 
 def explanatory_by_name(y_type: str, sigma_y: float = 2.0) -> ExplanatorySpec:
     """Explanatory process (A) = polynomial of BM, (B) = Ornstein-Uhlenbeck."""
-    key = str(y_type).upper()
-    if key == "A":
-        return ExplanatorySpec(kind=YKind.POLYNOMIAL_BM, sigma_y=sigma_y)
-    if key == "B":
-        return ExplanatorySpec(kind=YKind.ORNSTEIN_UHLENBECK, sigma_y=sigma_y, ou_rate=2.0, ou_gamma=1.0)
-    raise ValueError(f"unknown explanatory type {y_type!r}; choose 'A' or 'B'")
+    try:
+        params = Y_TYPES[str(y_type).upper()]
+    except KeyError:
+        raise ValueError(f"unknown explanatory type {y_type!r}; choose from {sorted(Y_TYPES)}") from None
+    return ExplanatorySpec(sigma_y=sigma_y, **params)

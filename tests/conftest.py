@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,13 +30,12 @@ def small_sample():
 
 def flaky_quantile_box(fail_call):
     """``quantile_box`` that returns a degenerate box on its ``fail_call``-th call."""
-    calls = []
+    calls = itertools.count(1)
 
-    def box(sample, path_index=0):
-        calls.append(path_index)
-        if len(calls) == fail_call:
+    def box(sample):
+        if next(calls) == fail_call:
             return QuantileBox(0.0, 0.0, 0.0, 1.0)  # raises ValueError
-        return quantile_box(sample, path_index)
+        return quantile_box(sample)
 
     return box
 
@@ -46,9 +47,9 @@ def quantile_box_failing_on(first_x):
     that repetition fails alike, whatever the order the samples come in.
     """
 
-    def box(sample, path_index=0):
+    def box(sample):
         if np.array_equal(sample.x[0], first_x):
             return QuantileBox(0.0, 0.0, 0.0, 1.0)  # raises ValueError
-        return quantile_box(sample, path_index)
+        return quantile_box(sample)
 
     return box

@@ -120,3 +120,22 @@ def design_pointwise(sample, phi, psi, dims, t_norm):
             zvec += v * (xs[lo + ell + 1] - xs[lo + ell])
     scale = sample.n_paths * t_norm
     return gram / scale, zvec / scale
+
+
+def empirical_norm_sq(sample, phi, psi, coeffs, dims):
+    """Squared empirical norm of the expansion with coefficients ``coeffs``, path by path.
+
+    Sums (tau(X) + nu(Y))^2 dt over each path's window points and divides
+    by N times the window length T - t0, with none of the block layout of
+    :func:`cpls.design.build_design`, so it checks the Gram quadratic form.
+    """
+    from cpls.bases import eval_matrix
+
+    lo, hi, dt = sample.grid.drop_first, sample.grid.n_steps, sample.grid.dt
+    coeffs = np.asarray(coeffs, dtype=float)
+    total = 0.0
+    for xs, ys in zip(sample.x, sample.y):
+        values = (eval_matrix(phi, dims.m1, xs[lo:hi]) @ coeffs[: dims.m1]
+                  + eval_matrix(psi, dims.m2, ys[lo:hi]) @ coeffs[dims.m1 :])
+        total += dt * float(values @ values)
+    return total / (sample.n_paths * (sample.grid.total_time - sample.grid.t0))

@@ -22,9 +22,9 @@ import scipy.integrate
 
 from cpls import bases
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST
-from cpls.design import DimPair, build_design, empirical_norm_sq
+from cpls.design import DimPair, build_design
 from cpls.estimator import solve_constrained
-from cpls.experiments import run_cells, run_experiment
+from cpls.experiments import TABLE1_CELLS, run_cells, run_experiment
 from cpls.simulate import (
     GridSpec,
     SdeModel,
@@ -34,7 +34,7 @@ from cpls.simulate import (
     make_model,
 )
 
-from oracles import constrained_qp_nullspace
+from oracles import constrained_qp_nullspace, empirical_norm_sq
 from test_estimator import random_spd_system
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -64,13 +64,7 @@ def grid_runs(bench_run):
     equals its own ``run_experiment`` bit for bit.
     """
     out = {(2, "A", 400): bench_run.summary}
-    cells = [
-        (model_id, y_type, n)
-        for model_id in (1, 2, 3)
-        for y_type in ("A", "B")
-        for n in (400, 1000)
-        if (model_id, y_type, n) not in out
-    ]
+    cells = [cell for cell in TABLE1_CELLS if cell not in out]
     for rep in run_cells(cells, REPS, MASTER_SEED, workers=WORKERS):
         out[(rep.model_id, rep.y_type, rep.n_paths)] = rep.summary
     return out

@@ -80,6 +80,38 @@ class TestEvalVector:
         assert np.all(np.isfinite(vals))
 
 
+
+class TestEvalRows:
+    POINTS = {
+        "0d": np.float64(0.3),
+        "0d-outside": np.float64(-0.4),
+        "1d": np.array([-1.5, 0.0, 0.25, 0.5, 1.0, 1.2, 3.0]),
+        "2d": np.array([[-2.0, 0.1, 0.9], [1.0, 2.5, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("m", [0, 1, 2, 39])
+    @pytest.mark.parametrize("points", POINTS, ids=str)
+    def test_rows_are_eval_matrix_transposed(self, family, m, points):
+        x = self.POINTS[points]
+        expected = np.moveaxis(bases.eval_matrix(family, m, x), -1, 0).tobytes()
+        rows = bases.eval_rows(family, m, x)
+        assert rows.shape == (m,) + x.shape and rows.flags.c_contiguous
+        assert rows.tobytes() == expected
+        # into a row block of a larger buffer full of stale values
+        buf = np.full((m + 3,) + x.shape, np.nan)
+        block = buf[1 : m + 1]
+        assert bases.eval_rows(family, m, x, out=block) is block
+        assert block.tobytes() == expected
+        assert np.isnan(buf[0]).all() and np.isnan(buf[m + 1 :]).all()
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_wrong_out_shape_rejected(self, family):
+        x = self.POINTS["1d"]
+        for shape in [(3, x.size + 1), (4, x.size), (x.size, 3), (3,)]:
+            with pytest.raises(ValueError):
+                bases.eval_rows(family, 3, x, out=np.empty(shape))
+
 class TestDeltaVector:
     def test_trig_noconst_all_zero(self):
         np.testing.assert_array_equal(bases.delta_vector(TRIG_NO_CONST, 4), np.zeros(4))

@@ -198,9 +198,11 @@ class TestBasesCheck:
 
 class TestConfigHandling:
     def test_bad_arguments_exit_2(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["experiment", "--model", "9"])
-        assert err.value.code == 2
+        for command in ("experiment", "fit"):
+            for flag in (["--model", "9"], ["--model", "4"], ["--y", "C"], ["--stability", "loose"]):
+                with pytest.raises(SystemExit) as err:
+                    run_cli([command, *flag])
+                assert err.value.code == 2
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # reps larger than zero but invalid sample size triggers a runtime error

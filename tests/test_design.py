@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from cpls import design
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_matrix
-from cpls.design import DimPair, build_design, build_prefix_designs, empirical_norm_sq, inv_opnorm, subsystem
+from cpls.design import DimPair, build_design, build_prefix_designs, inv_opnorm, subsystem
 from cpls.simulate import GridSpec, PathSample
 
 from conftest import make_sample
-from oracles import design_pointwise
+from oracles import design_pointwise, empirical_norm_sq
 
 FAMILIES = [HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST]
 
@@ -299,10 +299,6 @@ class TestEmpiricalNorm:
         sample = make_sample(grid, rng.random((3, 9)), rng.random((3, 9)))
         val = empirical_norm_sq(sample, TRIG, TRIG_NO_CONST, np.array([1.0, 0.0]), DimPair(1, 1))
         assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_length_mismatch(self, small_sample):
-        with pytest.raises(ValueError):
-            empirical_norm_sq(small_sample, TRIG, TRIG_NO_CONST, np.zeros(5), DimPair(2, 1))
 
 
 class TestInvOpnorm:

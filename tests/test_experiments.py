@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +299,14 @@ class TestCurvesAndBeam:
         bare = run_experiment(3, "B", 8, 2, seed=4, config=tiny_config())
         with pytest.raises(ValueError):
             emit_beam(bare, "a", 1, tmp_path / "beam.csv")
+
+
+def test_traced_names_resolve():
+    # The benchmark tracer swaps these module attributes for timing
+    # wrappers; a renamed or deleted one breaks every traced run.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, attr in [t[:2] for t in tracing.TARGETS] + [("cpls.experiments", "worker_pool")]:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
