@@ -63,7 +63,8 @@ _PROTOCOL = ExperimentConfig()
 
 #: Built-in settings: the benchmark protocol of ``ExperimentConfig()`` plus
 #: the run's own choices (model, Y type, N, repetitions, seed, pool size,
-#: retained curves).
+#: written curves). Setting ``key`` is the flag ``--key-with-dashes`` and
+#: the config key ``key``; both take the default's type and ``_CHOICES[key]``.
 DEFAULTS = {
     "model": 2,
     "y": "A",
@@ -90,16 +91,27 @@ DEFAULTS = {
 
 _BASIS_NAMES = [kind.value for kind in BasisKind]
 
+#: The allowed values of the settings that have a fixed set of them.
+_CHOICES = {
+    "model": list(DRIFT_PAIRS),
+    "y": list(Y_TYPES),
+    "basis_phi": _BASIS_NAMES,
+    "basis_psi": _BASIS_NAMES,
+    "stability": list(StabilityRule.MODES),
+}
+
+_HELP = {
+    "n": "number of path copies per repetition",
+    "threads": "process pool size for repetitions",
+    "curves": "write this many estimated curves of a and of b (beam_a.csv, beam_b.csv)",
+}
+
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -109,7 +121,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def load_config_file(path: str) -> dict:
     """Parse a plain key=value config file (``#`` starts a comment).
 
-    Each value takes the type of the key's built-in default.
+    Each value takes the type of the key's built-in default and must be one
+    of the key's choices, as the matching flag requires.
     """
     settings: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -122,7 +135,13 @@ def load_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        settings[key] = type(DEFAULTS[key])(value)
+        kind = type(DEFAULTS[key])
+        try:
+            settings[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} takes {kind.__name__}, got {value!r}") from None
+        if key in _CHOICES and settings[key] not in _CHOICES[key]:
+            raise ValueError(f"{path}:{lineno}: {key} = {value!r}, choose from {_CHOICES[key]}")
     return settings
 
 
@@ -183,30 +202,17 @@ def _write_meta(path: Path, settings: dict, extra: dict) -> None:
         fh.write("\n")
 
 
-_SUMMARY_HEADER = [
-    "function",
-    "mse100_mean",
-    "mse100_std",
-    "mse100_oracle_mean",
-    "mse100_oracle_std",
-    "dim_mean",
-    "dim_oracle_mean",
-]
+#: Summary keys of one function, "{}" standing for "a" or "b"; the CSV
+#: column is the key without its "_{}".
+_SUMMARY_KEYS = (
+    "mse100_{}_mean", "mse100_{}_std", "mse100_oracle_{}_mean", "mse100_oracle_{}_std",
+    "dim_{}_mean", "dim_oracle_{}_mean",
+)
+_SUMMARY_HEADER = ["function"] + [key.replace("_{}", "") for key in _SUMMARY_KEYS]
 
 
 def _summary_rows(summary: dict) -> list[list]:
-    rows = []
-    for fn in ("a", "b"):
-        rows.append([
-            fn,
-            summary.get(f"mse100_{fn}_mean", math.nan),
-            summary.get(f"mse100_{fn}_std", math.nan),
-            summary.get(f"mse100_oracle_{fn}_mean", math.nan),
-            summary.get(f"mse100_oracle_{fn}_std", math.nan),
-            summary.get(f"dim_{fn}_mean", math.nan),
-            summary.get(f"dim_oracle_{fn}_mean", math.nan),
-        ])
-    return rows
+    return [[fn] + [summary.get(key.format(fn), math.nan) for key in _SUMMARY_KEYS] for fn in "ab"]
 
 
 def _print_summary(title: str, summary: dict) -> None:
@@ -217,23 +223,14 @@ def _print_summary(title: str, summary: dict) -> None:
 
 
 def _rep_rows(report) -> list[list]:
-    rows = []
-    for r in report.per_rep:
-        rows.append([
-            r.rep,
-            int(r.failed),
-            r.mse_a,
-            r.mse_b,
-            r.oracle_mse_a,
-            r.oracle_mse_b,
-            r.dims.m1 if r.dims else -1,
-            r.dims.m2 if r.dims else -1,
-            r.oracle_dims.m1 if r.oracle_dims else -1,
-            r.oracle_dims.m2 if r.oracle_dims else -1,
-            int(r.truncated),
-            int(r.oracle_truncated),
-        ])
-    return rows
+    def dims(pair):
+        return [pair.m1, pair.m2] if pair else [-1, -1]
+
+    return [
+        [r.rep, int(r.failed), r.mse_a, r.mse_b, r.oracle_mse_a, r.oracle_mse_b,
+         *dims(r.dims), *dims(r.oracle_dims), int(r.truncated), int(r.oracle_truncated)]
+        for r in report.per_rep
+    ]
 
 
 _REP_HEADER = [
@@ -246,11 +243,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _experiment_config(settings)
     out = _out_dir(args)
-    keep_curves = settings["curves"] > 0
     start = time.perf_counter()
     report = run_experiment(
         settings["model"], settings["y"], settings["n"], settings["reps"],
-        settings["seed"], config, workers=settings["threads"], keep_curves=keep_curves,
+        settings["seed"], config, workers=settings["threads"],
     )
     wall_s = time.perf_counter() - start
     _write_csv(out / "experiment_reps.csv", _REP_HEADER, _rep_rows(report))
@@ -262,8 +258,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
          "n_failed": report.n_failed, "failures": report.failures,
          "workers": settings["threads"], "wall_s": wall_s},
     )
-    if keep_curves and report.curves is not None:
-        n_curves = min(settings["curves"], report.curves["a"].shape[0])
+    n_curves = min(settings["curves"], report.reps - report.n_failed)
+    if n_curves > 0:
         emit_beam(report, "a", n_curves, out / "beam_a.csv")
         emit_beam(report, "b", n_curves, out / "beam_b.csv")
     _print_summary(
@@ -317,17 +313,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     scan = scan_dimension_grid(sample, config.phi, config.psi, config.selection)
     result = select_adaptive_from_scan(scan)
     box = quantile_box(sample)
-    m1 = result.chosen.m1
-    coef_rows = []
-    for idx, value in enumerate(result.fit.theta):
-        component = "a" if idx < m1 else "b"
-        basis_index = idx + 1 if idx < m1 else idx - m1 + 1
-        coef_rows.append([component, basis_index, value])
+    theta, m1 = result.fit.theta, result.chosen.m1
+    coef_rows = [["a", j + 1, v] for j, v in enumerate(theta[:m1])]
+    coef_rows += [["b", j + 1, v] for j, v in enumerate(theta[m1:])]
     _write_csv(out / "fit_coefficients.csv", ["component", "basis_index", "value"], coef_rows)
     _write_csv(
         out / "fit_criterion_table.csv",
         ["m1", "m2", "gamma", "pen", "admissible", "criterion"],
-        [list(row) for row in criterion_table_rows(result)],
+        criterion_table_rows(result),
     )
     _write_meta(
         out / "fit_meta.json",
@@ -337,7 +330,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "gamma": result.fit.gamma_value,
             "lambda": result.fit.lambda_multiplier,
             "truncated": result.fit.truncated,
-            "admissible_any": result.admissible_any,
+            "admissible_any": not result.fit.truncated,
             "quantile_box": [box.a_x, box.b_x, box.a_y, box.b_y],
         },
     )
@@ -370,47 +363,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cpls {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_reps: bool = True) -> None:
+    def add_run_command(name: str, summary: str, handler, omit: tuple[str, ...] = ()):
+        """Subcommand with ``--config``, ``--out`` and one flag per setting not in ``omit``.
+
+        It takes no abbreviated flags: ``table1 --n`` would set ``--n-steps``.
+        """
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="key=value config file (flags take precedence)")
         p.add_argument("--out", help="output directory (default: $CPLS_OUTPUT_DIR or .)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, help="process pool size for repetitions")
-        if with_reps:
-            p.add_argument("--reps", type=int)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--max-m1", dest="max_m1", type=int)
-        p.add_argument("--max-m2", dest="max_m2", type=int)
-        p.add_argument("--basis-phi", dest="basis_phi", choices=_BASIS_NAMES)
-        p.add_argument("--basis-psi", dest="basis_psi", choices=_BASIS_NAMES)
-        p.add_argument("--stability", choices=StabilityRule.MODES)
-        p.add_argument("--cutoff", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--n-steps", dest="n_steps", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--drop", type=int)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--sigma-y", dest="sigma_y", type=float)
-        p.add_argument("--x0", type=float)
+        for key, default in DEFAULTS.items():
+            if key not in omit:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                               choices=_CHOICES.get(key), help=_HELP.get(key))
+        p.set_defaults(handler=handler)
+        return p
 
-    p_exp = sub.add_parser("experiment", help="Monte-Carlo run for one configuration")
-    p_exp.add_argument("--model", type=int, choices=list(DRIFT_PAIRS))
-    p_exp.add_argument("--y", choices=list(Y_TYPES))
-    p_exp.add_argument("--n", type=int, help="number of path copies per repetition")
-    p_exp.add_argument("--curves", type=int, help="retain and emit this many estimator curves")
-    add_common(p_exp)
-    p_exp.set_defaults(handler=_cmd_experiment)
-
-    p_tab = sub.add_parser("table1", help="full benchmark grid, 12 summary rows")
-    add_common(p_tab)
-    p_tab.set_defaults(handler=_cmd_table1)
-
-    p_fit = sub.add_parser("fit", help="single adaptive fit on one fresh sample")
-    p_fit.add_argument("--model", type=int, choices=list(DRIFT_PAIRS))
-    p_fit.add_argument("--y", choices=list(Y_TYPES))
-    p_fit.add_argument("--n", type=int)
+    add_run_command("experiment", "Monte-Carlo run for one configuration", _cmd_experiment)
+    add_run_command("table1", "full benchmark grid, 12 summary rows", _cmd_table1,
+                    omit=("model", "y", "n", "curves"))
+    p_fit = add_run_command("fit", "single adaptive fit on one fresh sample", _cmd_fit,
+                            omit=("reps", "threads", "curves"))
     p_fit.add_argument("--dump-design", action="store_true", help="also write gram/zvec/dvec CSVs")
-    add_common(p_fit, with_reps=False)
-    p_fit.set_defaults(handler=_cmd_fit)
 
     p_bas = sub.add_parser("bases-check", help="orthonormality residual of a basis family")
     p_bas.add_argument("--basis", required=True, choices=_BASIS_NAMES)

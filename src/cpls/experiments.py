@@ -100,7 +100,11 @@ def mse_box(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment protocol; defaults match the benchmark settings."""
+    """Full experiment protocol; defaults match the benchmark settings.
+
+    The penalty's ``selection.sigma_sq`` must be ``sigma ** 2``, the squared
+    diffusion coefficient the paths are simulated with.
+    """
 
     grid: GridSpec = field(default_factory=GridSpec)
     sigma: float = 1.5
@@ -109,6 +113,11 @@ class ExperimentConfig:
     phi: BasisFamily = HERMITE
     psi: BasisFamily = HERMITE
     selection: SelectionConfig = field(default_factory=SelectionConfig)
+
+    def __post_init__(self):
+        if self.selection.sigma_sq != self.sigma ** 2:
+            raise ValueError(f"selection.sigma_sq = {self.selection.sigma_sq!r} is not "
+                             f"sigma ** 2 = {self.sigma ** 2!r} (sigma = {self.sigma!r})")
 
 
 @dataclass
@@ -143,7 +152,6 @@ class ExperimentReport:
     config: ExperimentConfig
     per_rep: list[RepRecord]
     summary: dict[str, float]
-    curves: dict[str, np.ndarray] | None = None
 
     @property
     def n_failed(self) -> int:
@@ -265,9 +273,7 @@ def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, l
     model, sample = _sample(task, task.n_paths[-1], seed)
     box = quantile_box(sample)
     bounds = scan_bounds(cfg.selection, task.n_paths[0])  # the same for every N of the task
-    designs = build_prefix_designs(
-        sample, cfg.phi, cfg.psi, bounds, task.n_paths, cfg.selection.resolve_t_norm(sample)
-    )
+    designs = build_prefix_designs(sample, cfg.phi, cfg.psi, bounds, task.n_paths, sample.grid.total_time)
     return model, box, designs
 
 
@@ -312,30 +318,6 @@ def summarize(per_rep: Sequence[RepRecord]) -> dict[str, float]:
     out["dim_oracle_b_mean"] = float(np.mean([r.oracle_dims.m2 for r in good]))
     out["truncated_frac"] = float(np.mean([r.truncated for r in good]))
     return out
-
-
-def _attach_curves(report: ExperimentReport) -> None:
-    good = [r for r in report.per_rep if not r.failed]
-    if not good:
-        return
-    cfg = report.config
-    box = good[0].box
-    model = make_model(report.model_id, sigma=cfg.sigma, x0=cfg.x0)
-    xg = np.linspace(box.a_x, box.b_x, BEAM_GRID_POINTS)
-    yg = np.linspace(box.a_y, box.b_y, BEAM_GRID_POINTS)
-    a_curves = np.empty((len(good), BEAM_GRID_POINTS))
-    b_curves = np.empty((len(good), BEAM_GRID_POINTS))
-    for i, rec in enumerate(good):
-        fit = FitResult(dims=rec.dims, theta=rec.theta, truncated=rec.truncated)
-        a_curves[i], b_curves[i] = evaluate_fit(fit, cfg.phi, cfg.psi, xg, yg)
-    report.curves = {
-        "x": xg,
-        "truth_a": np.asarray(model.a(xg), dtype=float),
-        "a": a_curves,
-        "y": yg,
-        "truth_b": np.asarray(model.b(yg), dtype=float),
-        "b": b_curves,
-    }
 
 
 def run_cells(
@@ -420,7 +402,6 @@ def run_experiment(
     seed: int,
     config: ExperimentConfig | None = None,
     workers: int = 1,
-    keep_curves: bool = False,
 ) -> ExperimentReport:
     """Run ``reps`` independent estimation repetitions and summarize them.
 
@@ -429,32 +410,43 @@ def run_experiment(
     are spawned (see :func:`worker_pool`), so a script that asks for them
     must guard its entry point with ``if __name__ == "__main__":``. A
     repetition that raises is recorded as failed, with its error, and left
-    out of the summary rather than aborting the run.
+    out of the summary rather than aborting the run. Estimated curves for
+    plotting are evaluated from the records by :func:`emit_beam`.
     """
     # Unpacking runs the generator to its end, which shuts the pool down.
     (report,) = run_cells([(model_id, y_type, n_paths)], reps, seed, config, workers)
-    if keep_curves:
-        _attach_curves(report)
     return report
 
 
 def emit_beam(report: ExperimentReport, which: str, n_curves: int, path) -> None:
-    """Write truth plus the first ``n_curves`` estimated curves as CSV.
+    """Write the true ``a`` or ``b`` and the first ``n_curves`` successful estimates as CSV.
 
-    Columns are (grid point, truth, rep_1, ..., rep_k). Requires the report
-    to have been produced with ``keep_curves=True``.
+    Columns are (grid point, truth, rep_1, ..., rep_k), on ``BEAM_GRID_POINTS``
+    points spanning the first successful repetition's quantile box. Each
+    estimate is evaluated from its repetition's theta and dimensions.
     """
-    if report.curves is None:
-        raise ValueError("report has no retained curves; rerun with keep_curves=True")
     if which not in ("a", "b"):
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")
-    if n_curves < 0 or n_curves > report.curves[which].shape[0]:
-        raise ValueError(f"n_curves must lie in [0, {report.curves[which].shape[0]}]")
-    grid = report.curves["x" if which == "a" else "y"]
-    truth = report.curves[f"truth_{which}"]
-    beams = report.curves[which][:n_curves]
+    good = [r for r in report.per_rep if not r.failed]
+    if not good:
+        raise ValueError("report has no successful repetition")
+    if not 0 <= n_curves <= len(good):
+        raise ValueError(f"n_curves must lie in [0, {len(good)}]")
+    cfg = report.config
+    box = good[0].box
+    xg = np.linspace(box.a_x, box.b_x, BEAM_GRID_POINTS)
+    yg = np.linspace(box.a_y, box.b_y, BEAM_GRID_POINTS)
+    col = "ab".index(which)
+    grid = (xg, yg)[col]
+    model = make_model(report.model_id, sigma=cfg.sigma, x0=cfg.x0)
+    truth = np.asarray((model.a, model.b)[col](grid), dtype=float)
+    beams = [
+        evaluate_fit(FitResult(dims=r.dims, theta=r.theta, truncated=r.truncated),
+                     cfg.phi, cfg.psi, xg, yg)[col]
+        for r in good[:n_curves]
+    ]
     header = ",".join(["x", "truth"] + [f"rep_{j + 1}" for j in range(n_curves)])
-    body = np.column_stack([grid, truth, beams.T])
+    body = np.column_stack([grid, truth, *beams])
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in body:

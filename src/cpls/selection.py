@@ -21,10 +21,10 @@ of one system.
   system up to the frontier (:func:`cpls.estimator.fit_leading_blocks`).
 
 The adaptive criterion is ``gamma + pen`` with ``gamma = -|fit|_N^2`` and
-``pen = kappa * sigma_sq * (m1 + m2) / (N * T0)``. The oracle criterion is
-the box-restricted integrated squared error against the true drift pair,
-computable only when the truth is known. Ties break toward the smallest
-``m1 + m2``, then the smallest ``m1``.
+``pen = kappa * sigma_sq * (m1 + m2) / (N * T)``, T the full horizon. The
+oracle criterion is the box-restricted integrated squared error against the
+true drift pair, computable only when the truth is known. Ties break toward
+the smallest ``m1 + m2``, then the smallest ``m1``.
 """
 
 from __future__ import annotations
@@ -65,10 +65,8 @@ class SelectionConfig:
     """Scan bounds, penalty constants, and the stability rule.
 
     ``sigma_sq`` is the squared sup-norm of the (known) diffusion
-    coefficient. ``t_norm`` picks the time normalizer of the empirical
-    norm and penalty: the string ``"total"`` (default) uses the full
-    horizon T, ``None`` the window length T - t0, and a float an explicit
-    value.
+    coefficient. The empirical norm and the penalty are normalized by the
+    full horizon T of the sample's grid.
     """
 
     kappa: float = 8.0
@@ -76,7 +74,6 @@ class SelectionConfig:
     max_m1: int = SCAN_BOUND
     max_m2: int = SCAN_BOUND
     stability: StabilityRule = field(default_factory=StabilityRule)
-    t_norm: float | str | None = "total"
 
     def __post_init__(self):
         if not (self.kappa > 0):
@@ -85,13 +82,6 @@ class SelectionConfig:
             raise ValueError(f"sigma_sq must be nonnegative, got {self.sigma_sq!r}")
         if self.max_m1 < 1 or self.max_m2 < 1:
             raise ValueError("scan bounds must be at least 1")
-
-    def resolve_t_norm(self, sample: PathSample) -> float | None:
-        if self.t_norm == "total":
-            return sample.grid.total_time
-        if self.t_norm is None or isinstance(self.t_norm, (int, float)):
-            return self.t_norm
-        raise ValueError(f"unrecognized t_norm {self.t_norm!r}")
 
 
 @dataclass
@@ -107,10 +97,12 @@ class TableEntry:
 
 @dataclass
 class SelectionResult:
+    """The chosen pair, every pair's criterion and the chosen fit (zero at
+    (1, 1), with ``fit.truncated`` set, when no pair is admissible)."""
+
     chosen: DimPair
     criterion_table: dict[DimPair, TableEntry]
     fit: FitResult
-    admissible_any: bool = True
 
 
 @dataclass
@@ -233,7 +225,7 @@ def scan_dimension_grid(
     number of paths); :func:`scan_design` does the rest.
     """
     n = sample.n_paths
-    design = build_design(sample, phi, psi, scan_bounds(config, n), config.resolve_t_norm(sample))
+    design = build_design(sample, phi, psi, scan_bounds(config, n), sample.grid.total_time)
     return scan_design(design, n, phi, psi, config)
 
 
@@ -261,7 +253,6 @@ def _select(scan: DimensionScan, gamma, penalty) -> SelectionResult:
             chosen=DimPair(1, 1),
             criterion_table=table,
             fit=FitResult.zero(DimPair(1, 1)),
-            admissible_any=False,
         )
     return SelectionResult(chosen=chosen, criterion_table=table, fit=scan.fits[chosen])
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cpls.cli import DEFAULTS, load_config_file, main
+from cpls.cli import DEFAULTS, build_parser, load_config_file, main
 
 from conftest import flaky_quantile_box, quantile_box_failing_on
 
@@ -107,6 +107,16 @@ class TestExperimentCommand:
         assert header.split(",") == ["x", "truth", "rep_1", "rep_2"]
         assert (tmp_path / "beam_b.csv").exists()
 
+    def test_curves_capped_at_successful_reps(self, tmp_path):
+        code = run_cli([
+            "experiment", "--model", "3", "--y", "B", "--n", "8", "--reps", "3",
+            "--seed", "1", "--curves", "5", "--out", str(tmp_path), *FAST,
+        ])
+        assert code == 0
+        for name in ("beam_a.csv", "beam_b.csv"):
+            header = (tmp_path / name).read_text().splitlines()[0].split(",")
+            assert header == ["x", "truth", "rep_1", "rep_2", "rep_3"]
+
 
 class TestFitCommand:
     def test_fit_outputs(self, tmp_path, capsys):
@@ -199,10 +209,42 @@ class TestBasesCheck:
 class TestConfigHandling:
     def test_bad_arguments_exit_2(self):
         for command in ("experiment", "fit"):
-            for flag in (["--model", "9"], ["--model", "4"], ["--y", "C"], ["--stability", "loose"]):
+            for flag in (["--model", "9"], ["--model", "4"], ["--y", "C"], ["--stability", "loose"],
+                         ["--basis-phi", "foo"], ["--basis-psi", "foo"]):
                 with pytest.raises(SystemExit) as err:
                     run_cli([command, *flag])
                 assert err.value.code == 2
+
+    def test_flags_unused_by_a_command_exit_2(self):
+        for args in (["table1", "--n", "5"], ["fit", "--threads", "2"]):
+            with pytest.raises(SystemExit) as err:
+                run_cli(args)
+            assert err.value.code == 2
+
+    @pytest.mark.parametrize("key", sorted(DEFAULTS))
+    def test_every_setting_is_an_experiment_flag(self, key):
+        flag = "--" + key.replace("_", "-")
+        args = build_parser().parse_args(["experiment", flag, str(DEFAULTS[key])])
+        assert type(getattr(args, key)) is type(DEFAULTS[key])
+        assert getattr(args, key) == DEFAULTS[key]
+
+    @pytest.mark.parametrize("line, message", [
+        ("y = b", r"run\.cfg:2: y = 'b', choose from \['A', 'B'\]"),
+        ("stability = loose", r"run\.cfg:2: stability = 'loose', choose from \['practical', 'theoretical'\]"),
+    ])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config_file(str(cfg))
+        code = run_cli([
+            "experiment", "--config", str(cfg), "--n", "8", "--reps", "1",
+            "--out", str(tmp_path / "out"), *FAST,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [ValueError]: {cfg}:2: ")
+        assert not (tmp_path / "out" / "experiment_meta.json").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # reps larger than zero but invalid sample size triggers a runtime error

@@ -45,6 +45,12 @@ def tiny_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+def test_penalty_sigma_sq_must_be_sigma_squared():
+    with pytest.raises(ValueError, match=r"sigma_sq = 2\.25 is not sigma \*\* 2 = 4\.0"):
+        ExperimentConfig(sigma=2.0)
+    assert ExperimentConfig(sigma=2.0, selection=SelectionConfig(sigma_sq=4.0)).sigma == 2.0
+
+
 class TestQuantileBox:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -261,15 +267,10 @@ class TestRunExperiment:
 
 @pytest.fixture(scope="module")
 def report():
-    return run_experiment(3, "B", 12, 4, seed=4, config=tiny_config(), keep_curves=True)
+    return run_experiment(3, "B", 12, 4, seed=4, config=tiny_config())
 
 
 class TestCurvesAndBeam:
-
-    def test_curves_present_and_shaped(self, report):
-        assert report.curves is not None
-        assert report.curves["a"].shape == (4, 400)
-        assert report.curves["x"].shape == (400,)
 
     def test_beam_truth_only(self, report, tmp_path):
         path = tmp_path / "beam.csv"
@@ -288,17 +289,20 @@ class TestCurvesAndBeam:
         path = tmp_path / "beam.csv"
         emit_beam(report, "a", 4, path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        xg = report.curves["x"]
+        box = report.per_rep[0].box
+        xg = np.linspace(box.a_x, box.b_x, 400)
+        np.testing.assert_array_equal(rows[:, 0], xg)
         cfg = report.config
         for j, rec in enumerate(r for r in report.per_rep if not r.failed):
             fit = FitResult(dims=rec.dims, theta=rec.theta, truncated=rec.truncated)
             a_hat, _ = evaluate_fit(fit, cfg.phi, cfg.psi, xg, xg)
             np.testing.assert_allclose(rows[:, 2 + j], a_hat, atol=1e-12)
 
-    def test_beam_requires_curves(self, tmp_path):
-        bare = run_experiment(3, "B", 8, 2, seed=4, config=tiny_config())
+    def test_beam_rejects_more_curves_than_successful_reps(self, report, tmp_path):
+        with pytest.raises(ValueError, match=r"n_curves must lie in \[0, 4\]"):
+            emit_beam(report, "a", 5, tmp_path / "beam.csv")
         with pytest.raises(ValueError):
-            emit_beam(bare, "a", 1, tmp_path / "beam.csv")
+            emit_beam(report, "c", 1, tmp_path / "beam.csv")
 
 
 def test_traced_names_resolve():

@@ -59,7 +59,7 @@ class TestSelectAdaptive:
         sample = make_sample(grid, x, y)
         result = select_adaptive(sample, TRIG, TRIG_NO_CONST, small_config(max_m1=3, max_m2=3))
         assert result.chosen == DimPair(1, 1)
-        assert result.admissible_any
+        assert not result.fit.truncated
         for dims, entry in result.criterion_table.items():
             if entry.admissible:
                 assert entry.gamma == pytest.approx(0.0, abs=1e-12)
@@ -115,16 +115,15 @@ class TestSelectAdaptive:
         sample = make_sample(grid, np.full((5, 21), 0.4), np.full((5, 21), 0.6))
         cfg = small_config(max_m1=2, max_m2=2)
         result = select_adaptive(sample, TRIG, TRIG, cfg)
-        assert not result.admissible_any
-        assert result.chosen == DimPair(1, 1)
         assert result.fit.truncated
+        assert result.chosen == DimPair(1, 1)
         np.testing.assert_array_equal(result.fit.theta, np.zeros(2))
 
     def test_stability_rule_forwarded(self, bench_sample):
         # an absurdly tight practical cutoff rejects everything
         cfg = small_config(stability=StabilityRule(mode="practical", cutoff=1e-12))
         result = select_adaptive(bench_sample, HERMITE, HERMITE, cfg)
-        assert not result.admissible_any
+        assert result.fit.truncated
 
 
 class TestSelectOracle:
