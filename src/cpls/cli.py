@@ -146,11 +146,13 @@ def load_config_file(path: str) -> dict:
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
-    settings = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        settings.update(load_config_file(args.config))
+    """The settings that the command has flags for; a config file's other keys are ignored."""
+    settings = {key: default for key, default in DEFAULTS.items() if key in vars(args)}
+    if args.config:
+        from_file = load_config_file(args.config)
+        settings.update((key, value) for key, value in from_file.items() if key in settings)
     for key in settings:
-        flag_val = getattr(args, key, None)
+        flag_val = getattr(args, key)
         if flag_val is not None:
             settings[key] = flag_val
     return settings
@@ -194,6 +196,8 @@ def _write_meta(path: Path, settings: dict, extra: dict) -> None:
         "scipy": scipy.__version__,
         # As this process saw them; None means unset (the BLAS default).
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        # A serial design pass uses a second thread, so the cores matter too.
+        "cpus": len(os.sched_getaffinity(0)),
         "settings": settings,
     }
     meta.update(extra)

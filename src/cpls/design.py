@@ -15,11 +15,14 @@ normalizes by the full horizon T instead, which callers select via
 ``t_norm``.
 
 The sums run over blocks of ``_PATH_BLOCK`` paths, in a fixed order, so
-reruns give the same bits. Each block is one reused buffer with one row per
-basis member plus a row of X-increments, and one column per (path, window
-point); every basis family writes its rows into the buffer in place, and a
-single ``buf @ buf.T`` per block yields both the Gram sums and the dX-sums
-(see :func:`_accumulate`).
+reruns give the same bits. Each block has one row per basis member plus a row
+of X-increments, and one column per (path, window point); every basis family
+writes its rows into the block in place, and a single ``block @ block.T``
+yields both the Gram sums and the dX-sums. Two buffers take the blocks in
+turn: the calling thread fills one block while a helper thread multiplies
+the one before, and the caller adds the products to the running sums in
+block order (see :func:`_accumulate`). So the bits depend on the block size
+alone, not on which thread made a product or when.
 
 One pass can return the designs of several prefixes of the sample, the
 first n paths for each n asked (:func:`build_prefix_designs`), which is how
@@ -33,6 +36,7 @@ the standalone design of its prefix.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +45,7 @@ import numpy as np
 from .bases import BasisFamily, delta_vector, eval_rows
 from .simulate import PathSample
 
-_PATH_BLOCK = 32  # fixed block size => fixed summation order
+_PATH_BLOCK = 16  # fixed block size => fixed summation order
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,11 @@ class DesignSystem:
         return self.dims.total
 
 
+def _products(block: np.ndarray, cuts: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``block @ block.T`` and the same product of the leading ``c`` columns, for each ``c`` in ``cuts``."""
+    return block @ block.T, [block[:, :c] @ block[:, :c].T for c in cuts]
+
+
 def _accumulate(
     sample: PathSample,
     phi: BasisFamily,
@@ -89,15 +98,25 @@ def _accumulate(
     """Gram matrix and observation vector of the first ``n`` paths, for each ``n`` in ``counts``.
 
     The paths run in blocks of at most ``_PATH_BLOCK``, each a view of one
-    buffer with ``m1 + m2 + 1`` rows and one column per (path, window point),
-    path-major. :func:`cpls.bases.eval_rows` writes the stacked basis values
-    at the window's left points into rows ``[:k]``, ``k = m1 + m2``, and row
-    ``k`` holds the X-increments, so one ``block @ block.T`` gives the Gram
-    sums in ``[:k, :k]`` and the dX-sums in ``[:k, k]``. NumPy computes that
-    product with BLAS ``syrk``, which splits the output among its threads,
-    never the sum over columns, so the sums are bitwise the same at every
-    BLAS thread count. Every left-point weight is ``dt``, which multiplies
-    the sums once, at the end.
+    of two buffers, used in turn, with ``m1 + m2 + 1`` rows and one column
+    per (path, window point), path-major. :func:`cpls.bases.eval_rows`
+    writes the stacked basis values at the window's left points into rows
+    ``[:k]``, ``k = m1 + m2``, and row ``k`` holds the X-increments, so one
+    ``block @ block.T`` gives the Gram sums in ``[:k, :k]`` and the dX-sums
+    in ``[:k, k]``. Every left-point weight is ``dt``, which multiplies the
+    sums once, at the end.
+
+    The calling thread fills block j + 1 while one helper thread computes
+    block j's products, that one and the product of the leading columns at
+    each count inside the block; BLAS releases the interpreter lock, so the
+    two overlap. A buffer is refilled only after its products have been
+    collected. The caller adds each block's products to the running sums in
+    block order, so the sums are bitwise the same whichever thread made a
+    product and whenever it finished. NumPy computes each product with BLAS
+    ``syrk``, which splits the output among its threads, never the sum over
+    columns, so the sums are also bitwise the same at every BLAS thread
+    count. The helper lives only for the call, which keeps a process that
+    forks between calls free of threads.
 
     ``counts`` is strictly increasing, and the paths after the last count
     are not read. Each count checkpoints the running sums (see the module
@@ -113,31 +132,41 @@ def _accumulate(
     width = hi - lo
     m1, k = dims.m1, dims.total
     sums = np.zeros((k + 1, k + 1))
+    out = []
 
     def normalized(n, sums):
         scale = n * t_norm
         gram = dt * sums[:k, :k] / scale
         return 0.5 * (gram + gram.T), sums[:k, k] / scale
 
-    out = []
-    buf = np.empty((k + 1, min(_PATH_BLOCK, counts[-1]) * width))
-    for start in range(0, counts[-1], _PATH_BLOCK):
-        stop = min(start + _PATH_BLOCK, counts[-1])
-        block = buf[:, : (stop - start) * width]
-        eval_rows(phi, m1, sample.x[start:stop, lo:hi].ravel(), out=block[:m1])
-        eval_rows(psi, dims.m2, sample.y[start:stop, lo:hi].ravel(), out=block[m1:k])
-        np.subtract(
-            sample.x[start:stop, lo + 1 : hi + 1],
-            sample.x[start:stop, lo:hi],
-            out=block[k].reshape(stop - start, width),
-        )
-        for n in counts:
-            if start < n < stop:
-                part = block[:, : (n - start) * width]
-                out.append(normalized(n, sums + part @ part.T))
-        sums += block @ block.T
+    def collect(future, inside, stop):
+        nonlocal sums
+        whole, parts = future.result()
+        for n, part in zip(inside, parts):
+            out.append(normalized(n, sums + part))
+        sums += whole
         if stop in counts:
             out.append(normalized(stop, sums))
+
+    bufs = np.empty((2, k + 1, min(_PATH_BLOCK, counts[-1]) * width))
+    pending = None
+    with ThreadPoolExecutor(1) as helper:
+        for j, start in enumerate(range(0, counts[-1], _PATH_BLOCK)):
+            stop = min(start + _PATH_BLOCK, counts[-1])
+            block = bufs[j % 2, :, : (stop - start) * width]
+            eval_rows(phi, m1, sample.x[start:stop, lo:hi].ravel(), out=block[:m1])
+            eval_rows(psi, dims.m2, sample.y[start:stop, lo:hi].ravel(), out=block[m1:k])
+            np.subtract(
+                sample.x[start:stop, lo + 1 : hi + 1],
+                sample.x[start:stop, lo:hi],
+                out=block[k].reshape(stop - start, width),
+            )
+            inside = [n for n in counts if start < n < stop]
+            product = helper.submit(_products, block, [(n - start) * width for n in inside])
+            if pending is not None:
+                collect(*pending)
+            pending = (product, inside, stop)
+        collect(*pending)
     return out
 
 

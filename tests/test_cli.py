@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -85,6 +86,7 @@ class TestExperimentCommand:
         assert meta["blas_threads"]["OPENBLAS_NUM_THREADS"] == "3"
         assert meta["blas_threads"]["MKL_NUM_THREADS"] is None
         assert set(meta["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert meta["cpus"] == len(os.sched_getaffinity(0))
         assert meta["failures"] == {}
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -169,6 +171,7 @@ class TestTable1Command:
         meta = json.loads((tmp_path / "table1_meta.json").read_text())
         assert meta["failures"] == {"1B-400": {"ValueError": 1}, "1B-1000": {"ValueError": 1}}
         assert {"python", "numpy", "scipy", "blas_threads"} <= set(meta)
+        assert meta["cpus"] == len(os.sched_getaffinity(0))
         assert meta["workers"] == 1 and meta["wall_s"] > 0
         assert meta["rep_seeds"] == [rep_seed(1, 0)]
         rows = (tmp_path / "table1.csv").read_text().splitlines()
@@ -272,6 +275,25 @@ class TestConfigHandling:
         assert meta["settings"]["sigma"] == 2.0  # from file
         assert meta["settings"]["max_m1"] == 3  # flag overrides file
         assert meta["settings"]["seed"] == 5  # flag overrides file
+
+    def test_settings_without_a_flag_not_recorded(self, tmp_path):
+        # One config format serves every command; a command records only
+        # the settings it has flags for.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 5\nmodel = 3\nreps = 1\ncurves = 2\nthreads = 1\n")
+        code = run_cli([
+            "table1", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "table1"),
+            "--n-steps", "30", "--dt", "0.05", "--drop", "2", "--max-m1", "2", "--max-m2", "2",
+        ])
+        assert code == 0
+        settings = json.loads((tmp_path / "table1" / "table1_meta.json").read_text())["settings"]
+        assert settings["reps"] == 1
+        assert set(settings) == set(DEFAULTS) - {"model", "y", "n", "curves"}
+        code = run_cli(["fit", "--config", str(cfg), "--out", str(tmp_path / "fit"), *FAST])
+        assert code == 0
+        settings = json.loads((tmp_path / "fit" / "fit_meta.json").read_text())["settings"]
+        assert settings["n"] == 5 and settings["model"] == 3
+        assert set(settings) == set(DEFAULTS) - {"reps", "threads", "curves"}
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

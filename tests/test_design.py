@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpls import design
-from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_matrix
+from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_matrix, eval_rows
 from cpls.design import DimPair, build_design, build_prefix_designs, inv_opnorm, subsystem
 from cpls.simulate import GridSpec, PathSample
 
@@ -234,19 +235,76 @@ def test_prefix_designs_equal_designs_of_prefix_samples(counts, extra, n_window,
 
 
 def test_prefix_designs_at_the_benchmark_size():
-    # The table1 case: N = 400 (inside a block, 12 x 32 + 16) checkpointed
-    # in the N = 1000 pass at the default 39 x 39 bound, where the BLAS
+    # The table1 case, N = 400 (a block boundary, 25 x 16) checkpointed in
+    # the N = 1000 pass (62 x 16 + 8), and a count inside a block
+    # (407 = 25 x 16 + 7), at the default 39 x 39 bound, where the BLAS
     # blocks its products.
     from cpls.simulate import explanatory_by_name, generate_sample, make_model
 
     sample = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), 1000, seed=4)
     dims = DimPair(39, 39)
-    counts = (64, 400, 1000)
+    counts = (64, 400, 407, 1000)
     for n, system in zip(counts, build_prefix_designs(sample, HERMITE, HERMITE, dims, counts)):
         prefix = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), n, seed=4)
         ref = build_design(prefix, HERMITE, HERMITE, dims)
         np.testing.assert_array_equal(system.gram, ref.gram)
         np.testing.assert_array_equal(system.zvec, ref.zvec)
+
+
+def _design_in_block_order(sample, phi, psi, dims, t_norm):
+    # One thread, no reused buffer: each block's product added in block order.
+    lo, hi, n = sample.grid.drop_first, sample.grid.n_steps, sample.n_paths
+    k = dims.total
+    sums = np.zeros((k + 1, k + 1))
+    for start in range(0, n, design._PATH_BLOCK):
+        rows = slice(start, start + design._PATH_BLOCK)
+        block = np.vstack([
+            eval_rows(phi, dims.m1, sample.x[rows, lo:hi].ravel()),
+            eval_rows(psi, dims.m2, sample.y[rows, lo:hi].ravel()),
+            np.diff(sample.x[rows, lo : hi + 1], axis=1).ravel(),
+        ])
+        sums += block @ block.T
+    gram = sample.grid.dt * sums[:k, :k] / (n * t_norm)
+    return 0.5 * (gram + gram.T), sums[:k, k] / (n * t_norm)
+
+
+def _benchmark_sample(n_paths, seed):
+    from cpls.simulate import explanatory_by_name, generate_sample, make_model
+
+    return generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), n_paths, seed=seed)
+
+
+def test_design_sums_blocks_in_order():
+    # The helper thread's products are added in block order, so the design
+    # has the bits of the one-thread loop; 200 = 12 x 16 + 8 ends in a
+    # partial block.
+    assert design._PATH_BLOCK == 16
+    sample = _benchmark_sample(200, seed=6)
+    dims = DimPair(39, 39)
+    got = build_design(sample, HERMITE, HERMITE, dims)
+    gram, zvec = _design_in_block_order(sample, HERMITE, HERMITE, dims, got.t_norm)
+    np.testing.assert_array_equal(got.gram, gram)
+    np.testing.assert_array_equal(got.zvec, zvec)
+
+
+def test_concurrent_designs_equal_lone_designs():
+    # More calling threads than cores, each with its own helper, switching
+    # often: every design keeps the bits of a call made alone.
+    samples = [_benchmark_sample(40 + 9 * i, seed=i) for i in range(4)]
+    dims = DimPair(12, 12)
+    lone = [build_design(s, HERMITE, TRIG, dims) for s in samples]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(samples)) as pool:
+            futures = [pool.submit(build_design, s, HERMITE, TRIG, dims) for s in samples for _ in range(3)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, got in enumerate(results):
+        ref = lone[i // 3]
+        np.testing.assert_array_equal(got.gram, ref.gram)
+        np.testing.assert_array_equal(got.zvec, ref.zvec)
 
 
 @pytest.mark.parametrize("counts", [(), (5, 5), (6, 4), (4, 13)])
