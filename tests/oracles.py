@@ -139,3 +139,41 @@ def empirical_norm_sq(sample, phi, psi, coeffs, dims):
                   + eval_matrix(psi, dims.m2, ys[lo:hi]) @ coeffs[dims.m1 :])
         total += dt * float(values @ values)
     return total / (sample.n_paths * (sample.grid.total_time - sample.grid.t0))
+
+
+def box_errors_by_quadrature(scan, truth, bounds):
+    """Box-restricted squared errors (a-part, b-part) of every fitted pair, node by node.
+
+    Evaluates each fitted curve on the Simpson nodes of the box and sums the
+    weighted squared residuals, one matrix product per m1 and component: the
+    direct definition that :func:`cpls.selection.oracle_errors` reads off a
+    QR factor instead.
+    """
+    from cpls.bases import eval_matrix
+    from cpls.quadrature import simpson_grid
+    from cpls.selection import MSE_NODES
+
+    xg, wx = simpson_grid(bounds.a_x, bounds.b_x, MSE_NODES)
+    yg, wy = simpson_grid(bounds.a_y, bounds.b_y, MSE_NODES)
+    big = scan.design.dims
+    bx = eval_matrix(scan.phi, big.m1, xg)
+    by = eval_matrix(scan.psi, big.m2, yg)
+    a_true = np.asarray(truth.a(xg), dtype=float)
+    b_true = np.asarray(truth.b(yg), dtype=float)
+    by_m1 = {}
+    for fit in scan.fits.values():
+        by_m1.setdefault(fit.dims.m1, []).append(fit)
+    errors = {}
+    for m1, fits in by_m1.items():
+        theta_a = np.column_stack([fit.theta[:m1] for fit in fits])
+        theta_b = np.zeros((big.m2, len(fits)))
+        for j, fit in enumerate(fits):
+            theta_b[: fit.dims.m2, j] = fit.theta[m1:]
+        ra = bx[:, :m1] @ theta_a - a_true[:, None]
+        rb = by @ theta_b - b_true[:, None]
+        # einsum, not a BLAS product: its sums do not depend on the thread count
+        err_a = np.einsum("i,ij->j", wx, ra * ra)
+        err_b = np.einsum("i,ij->j", wy, rb * rb)
+        for j, fit in enumerate(fits):
+            errors[fit.dims] = (float(err_a[j]), float(err_b[j]))
+    return {dims: errors[dims] for dims in scan.fits}

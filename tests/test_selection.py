@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, sup_norm_bound
+from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, sup_norm_bound
 from cpls.design import DesignSystem, DimPair
-from cpls.estimator import StabilityRule, fit_leading_blocks, stability_event
-from cpls.experiments import QuantileBox
+from cpls.estimator import FitResult, StabilityRule, fit_leading_blocks, stability_event
+from cpls.experiments import QuantileBox, mse_box, quantile_box
+from cpls.quadrature import simpson_grid
 from cpls.selection import (
+    DimensionScan,
     SelectionConfig,
     criterion_table_rows,
     oracle_errors,
@@ -32,7 +34,7 @@ from cpls.simulate import (
 )
 
 from conftest import make_sample
-from oracles import scan_pairwise
+from oracles import box_errors_by_quadrature, scan_pairwise
 
 
 def small_config(**kw):
@@ -118,6 +120,11 @@ class TestSelectAdaptive:
         assert result.fit.truncated
         assert result.chosen == DimPair(1, 1)
         np.testing.assert_array_equal(result.fit.theta, np.zeros(2))
+        # the oracle has no fit to score either
+        scan = scan_dimension_grid(sample, TRIG, TRIG, cfg)
+        box = QuantileBox(0.0, 1.0, 0.0, 1.0)
+        assert oracle_errors(scan, make_model(2), box) == {}
+        assert select_oracle_from_scan(scan, make_model(2), box).fit.truncated
 
     def test_stability_rule_forwarded(self, bench_sample):
         # an absurdly tight practical cutoff rejects everything
@@ -161,6 +168,104 @@ class TestSelectOracle:
         oracle = select_oracle_from_scan(scan, model, box)
         errors = oracle_errors(scan, model, box)
         assert sum(errors[oracle.chosen]) <= sum(errors[adaptive.chosen]) + 1e-15
+
+
+# Tolerance of the QR oracle against node-by-node quadrature, fixed before
+# the test was first run: 1e-9 relative per error, three orders above the
+# 5.4e-12 worst case measured over 36 benchmark scans of table 1's cells.
+ORACLE_RTOL = 1e-9
+
+
+def _projection(family, m, fn, lo, hi):
+    # Coefficients <fn, f_k> on [lo, hi], a wide part of the family's support.
+    nodes, weights = simpson_grid(lo, hi, 4001)
+    return eval_rows(family, m, nodes) @ (weights * fn(nodes))
+
+
+def _synthetic_scan(phi, psi, dims, model, support_x, support_y):
+    """A scan whose fit at every pair of ``dims`` is the truncated projection of
+    the truth plus noise of size 1e-3, so most errors are small against the
+    integral of the truth squared, the regime in which cancellation shows."""
+    rng = np.random.default_rng(0)
+    ca = _projection(phi, dims.m1, model.a, *support_x)
+    cb = _projection(psi, dims.m2, model.b, *support_y)
+    pairs = [DimPair(m1, m2) for m1 in range(1, dims.m1 + 1) for m2 in range(1, dims.m2 + 1)]
+    fits = {
+        d: FitResult(d, np.concatenate([ca[: d.m1], cb[: d.m2]]) + 1e-3 * rng.standard_normal(d.total))
+        for d in pairs
+    }
+    k = dims.total
+    design = DesignSystem(dims, np.eye(k), np.zeros(k), np.zeros(k), 1.0)
+    return DimensionScan(design, phi, psi, 100, SelectionConfig(), fits,
+                         dict.fromkeys(pairs, True), {})
+
+
+def _truth(a, b):
+    return SdeModel(a=a, b=b, sigma=lambda x: np.ones_like(x))
+
+
+def _inside(lo, hi, fn):
+    return lambda x: np.where((x >= lo) & (x <= hi), fn(x), 0.0)
+
+
+# (phi, psi, dims, truth, box, support of each side for the projections).
+# Each truth is in or near the span on the box wherever the basis lives;
+# the Hermite a and the wholly-outside b leave a part no fit reaches
+# (rho > 0).
+_ORACLE_CASES = {
+    "hermite": (HERMITE, HERMITE, DimPair(12, 10),
+                _truth(lambda x: (1.0 + x) * np.exp(-0.5 * x * x) + 0.2 * x * np.exp(-0.1 * x * x),
+                       lambda y: np.tanh(y) * np.exp(-0.25 * y * y)),
+                QuantileBox(-2.5, 2.5, -3.0, 3.0), (-12.0, 12.0), (-12.0, 12.0)),
+    # 39 Hermite functions on a Y box 2.7 long, as on the Y (B) cells: the
+    # factor is nearly singular.
+    "hermite-short-box": (HERMITE, HERMITE, DimPair(39, 39),
+                          _truth(lambda x: (x * x - 0.5) * np.exp(-0.5 * x * x),
+                                 lambda y: 0.5 * np.sin(y) * np.exp(-0.25 * y * y)),
+                          QuantileBox(-2.2, 2.2, -1.35, 1.35), (-12.0, 12.0), (-12.0, 12.0)),
+    # X box half outside [0, 1]; Y box wholly outside, so every psi column
+    # is zero and R has zero diagonal entries.
+    "trig-outside": (TRIG, TRIG_NO_CONST, DimPair(9, 8),
+                     _truth(_inside(0.0, 1.0, lambda x: 0.5 + np.cos(2 * np.pi * x)),
+                            lambda y: y - 0.5),
+                     QuantileBox(-0.25, 1.25, 1.5, 2.5), (0.0, 1.0), (0.0, 1.0)),
+    # Laguerre on [0, inf): X box partly, Y box wholly below 0.
+    "laguerre-outside": (LAGUERRE, LAGUERRE, DimPair(10, 7),
+                         _truth(_inside(0.0, np.inf, lambda x: x * np.exp(-x)),
+                                lambda y: np.exp(-0.5 * y)),
+                         QuantileBox(-1.0, 4.0, -3.0, -1.0), (0.0, 40.0), (0.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_oracle_errors_match_quadrature(case):
+    phi, psi, dims, model, box, support_x, support_y = _ORACLE_CASES[case]
+    scan = _synthetic_scan(phi, psi, dims, model, support_x, support_y)
+    if case.endswith("outside"):
+        # the hard part of the case: the Y side sees only zero columns
+        assert not eval_rows(psi, dims.m2, np.linspace(box.a_y, box.b_y, 101)).any()
+    expected = box_errors_by_quadrature(scan, model, box)
+    errors = oracle_errors(scan, model, box)
+    assert list(errors) == list(expected) == list(scan.fits)
+    got = np.array([errors[d] for d in scan.fits])
+    ref = np.array([expected[d] for d in scan.fits])
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, ref, rtol=ORACLE_RTOL, atol=0.0)
+
+
+def test_oracle_errors_agree_with_mse_box(bench_sample):
+    # The two box-error paths: the oracle's table for every fit and
+    # mse_box for a chosen one.
+    model = make_model(3)
+    box = quantile_box(bench_sample)
+    scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, small_config(max_m1=8, max_m2=8))
+    errors = oracle_errors(scan, model, box)
+    assert errors and all(e >= 0.0 for pair in errors.values() for e in pair)
+    oracle = select_oracle_from_scan(scan, model, box)
+    assert all(entry.gamma >= 0.0 for entry in oracle.criterion_table.values() if entry.admissible)
+    for result in (select_adaptive_from_scan(scan), oracle):
+        direct = mse_box(result.fit, model, box, HERMITE, HERMITE)
+        np.testing.assert_allclose(errors[result.chosen], direct, rtol=1e-10, atol=0.0)
 
 
 def test_criterion_table_rows_layout(bench_sample):
