@@ -23,8 +23,9 @@ of one system.
 The adaptive criterion is ``gamma + pen`` with ``gamma = -|fit|_N^2`` and
 ``pen = kappa * sigma_sq * (m1 + m2) / (N * T)``, T the full horizon. The
 oracle criterion is the box-restricted integrated squared error against the
-true drift pair, computable only when the truth is known. Ties break toward
-the smallest ``m1 + m2``, then the smallest ``m1``.
+true drift pair, computable only when the truth is known. :func:`_select`
+takes the admissible pair of smallest key ``(criterion, m1 + m2, m1)``: ties
+break toward the smallest ``m1 + m2``, then the smallest ``m1``.
 
 The oracle's errors come from one QR factor per side of the box, not from a
 quadrature per fit. Factor the weighted Simpson-node matrix
@@ -38,6 +39,7 @@ Y (B) cells of table 1). See :func:`oracle_errors`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,17 +108,21 @@ class TableEntry:
 
 @dataclass
 class SelectionResult:
-    """The chosen pair, every pair's criterion and the chosen fit (zero at
-    (1, 1), with ``fit.truncated`` set, when no pair is admissible)."""
+    """Every pair's criterion and the chosen fit (zero at (1, 1), with
+    ``fit.truncated`` set, when no pair is admissible)."""
 
-    chosen: DimPair
     criterion_table: dict[DimPair, TableEntry]
     fit: FitResult
+
+    @property
+    def chosen(self) -> DimPair:
+        return self.fit.dims
 
 
 @dataclass
 class DimensionScan:
-    """All admissible fits from one cached design assembly."""
+    """All admissible fits from one cached design assembly: the keys of
+    ``fits`` are the admissible set, a down-set of ``design.dims``."""
 
     design: DesignSystem
     phi: BasisFamily
@@ -124,18 +130,11 @@ class DimensionScan:
     n_paths: int
     config: SelectionConfig
     fits: dict[DimPair, FitResult]
-    admissible: dict[DimPair, bool]
     max_residuals: dict[str, float]
 
     def penalty(self, dims: DimPair) -> float:
         cfg = self.config
         return cfg.kappa * cfg.sigma_sq * dims.total / (self.n_paths * self.design.t_norm)
-
-
-def _scan_order(max_m1: int, max_m2: int) -> list[DimPair]:
-    pairs = [DimPair(m1, m2) for m1 in range(1, max_m1 + 1) for m2 in range(1, max_m2 + 1)]
-    pairs.sort(key=lambda d: (d.total, d.m1, d.m2))
-    return pairs
 
 
 _RESIDUAL_KEYS = ("constraint", "optimality", "kkt")
@@ -186,7 +185,6 @@ def scan_design(
     fits every admissible m2.
     """
     max_m1, max_m2 = design.dims
-    frontier = {}
     fitted: dict[DimPair, FitResult] = {}
     max_res = dict.fromkeys(_RESIDUAL_KEYS, 0.0)
     m2 = max_m2
@@ -199,20 +197,16 @@ def scan_design(
             m2 -= 1
         if m2 == 0:
             break
-        frontier[m1] = m2
         fits, res = _fit_block(subsystem(block, DimPair(m1, m2)))
         fitted.update((fit.dims, fit) for fit in fits)
         max_res = {key: max(max_res[key], res[key]) for key in _RESIDUAL_KEYS}
-    order = _scan_order(max_m1, max_m2)
-    admissible = {dims: dims.m2 <= frontier.get(dims.m1, 0) for dims in order}
     return DimensionScan(
         design=design,
         phi=phi,
         psi=psi,
         n_paths=n_paths,
         config=config,
-        fits={dims: fitted[dims] for dims in order if admissible[dims]},
-        admissible=admissible,
+        fits=fitted,
         max_residuals=max_res,
     )
 
@@ -238,36 +232,32 @@ def scan_dimension_grid(
     return scan_design(design, n, phi, psi, config)
 
 
-def _select(scan: DimensionScan, gamma, penalty) -> SelectionResult:
-    """Minimize ``gamma(dims) + penalty(dims)`` over the admissible pairs.
+@functools.cache
+def _rectangle(dims: DimPair) -> tuple[DimPair, ...]:
+    """Every pair of [1, m1] x [1, m2], made once per rectangle."""
+    return tuple(DimPair(m1, m2) for m1 in range(1, dims.m1 + 1) for m2 in range(1, dims.m2 + 1))
 
-    ``scan.admissible`` is in scan order, so the first minimum met carries
-    the tie-break.
-    """
-    table = {
-        dims: TableEntry(
-            gamma=gamma(dims) if ok else math.nan,
-            penalty=penalty(dims),
-            admissible=ok,
-        )
-        for dims, ok in scan.admissible.items()
-    }
-    chosen: DimPair | None = None
-    best = math.inf
-    for dims, entry in table.items():
-        if entry.admissible and entry.criterion < best:
-            chosen, best = dims, entry.criterion
-    if chosen is None:
-        return SelectionResult(
-            chosen=DimPair(1, 1),
-            criterion_table=table,
-            fit=FitResult.zero(DimPair(1, 1)),
-        )
-    return SelectionResult(chosen=chosen, criterion_table=table, fit=scan.fits[chosen])
+
+def _select(scan: DimensionScan, gamma, penalty) -> SelectionResult:
+    """Minimize ``gamma(fit) + penalty(dims)`` over ``scan.fits``. The table
+    covers the rectangle, with gamma NaN at each pair that is not admissible."""
+    table = {}
+    for dims in _rectangle(scan.design.dims):
+        fit = scan.fits.get(dims)
+        value = math.nan if fit is None else gamma(fit)
+        table[dims] = TableEntry(value, penalty(dims), fit is not None)
+    # The tie-break key; a criterion that is not finite never wins.
+    best = min(
+        ((crit, dims.total, dims.m1, dims) for dims, entry in table.items()
+         if entry.admissible and math.isfinite(crit := entry.criterion)),
+        default=None,
+    )
+    fit = FitResult.zero(DimPair(1, 1)) if best is None else scan.fits[best[-1]]
+    return SelectionResult(criterion_table=table, fit=fit)
 
 
 def select_adaptive_from_scan(scan: DimensionScan) -> SelectionResult:
-    return _select(scan, lambda dims: scan.fits[dims].gamma_value, scan.penalty)
+    return _select(scan, lambda fit: fit.gamma_value, scan.penalty)
 
 
 def select_adaptive(
@@ -351,15 +341,12 @@ def oracle_errors(
 
 def select_oracle_from_scan(scan: DimensionScan, truth: SdeModel, bounds) -> SelectionResult:
     errors = oracle_errors(scan, truth, bounds)
-    return _select(scan, lambda dims: sum(errors[dims]), lambda dims: 0.0)
+    return _select(scan, lambda fit: sum(errors[fit.dims]), lambda dims: 0.0)
 
 
 def criterion_table_rows(result: SelectionResult) -> list[tuple]:
-    """Rows (m1, m2, gamma, pen, admissible, criterion) sorted for CSV dumps."""
-    rows = []
-    for dims in sorted(result.criterion_table, key=lambda d: (d.m1, d.m2)):
-        entry = result.criterion_table[dims]
-        rows.append(
-            (dims.m1, dims.m2, entry.gamma, entry.penalty, entry.admissible, entry.criterion)
-        )
-    return rows
+    """Rows (m1, m2, gamma, pen, admissible, criterion), m1-major, for CSV dumps."""
+    return [
+        (dims.m1, dims.m2, entry.gamma, entry.penalty, entry.admissible, entry.criterion)
+        for dims, entry in result.criterion_table.items()
+    ]

@@ -72,10 +72,12 @@ def pair_residuals(gram, zvec, dvec, theta, lam) -> dict[str, float]:
 def scan_pairwise(design, n_paths, phi, psi, config, event=None):
     """The dimension scan pair by pair: a stability event and a dense solve for every pair.
 
-    Walks every (m1, m2) of ``design.dims`` in scan order and applies the
-    definitions directly, with no use of the nesting between pairs. Returns
-    ``(admissible, fits, max_residuals)`` with ``fits`` mapping each
-    admissible pair to ``(theta, lambda, gamma)``. ``event`` replaces
+    Walks every (m1, m2) of ``design.dims`` and applies the definitions
+    directly, with no use of the nesting between pairs. Returns
+    ``(admissible, fits, max_residuals)``: ``admissible`` maps every pair to
+    its event's outcome, so its True keys are the admissible set (the keys
+    of ``DimensionScan.fits``); ``fits`` maps each admissible pair to
+    ``(theta, lambda, gamma)``. ``event`` replaces
     :func:`cpls.estimator.stability_event`.
     """
     from cpls.design import DimPair, subsystem
@@ -84,7 +86,6 @@ def scan_pairwise(design, n_paths, phi, psi, config, event=None):
     event = event or stability_event
     big = design.dims
     pairs = [DimPair(m1, m2) for m1 in range(1, big.m1 + 1) for m2 in range(1, big.m2 + 1)]
-    pairs.sort(key=lambda d: (d.total, d.m1, d.m2))
     admissible, fits = {}, {}
     max_res = {"constraint": 0.0, "optimality": 0.0, "kkt": 0.0}
     for dims in pairs:

@@ -79,6 +79,31 @@ class TestSelectAdaptive:
             if val == best:
                 assert (result.chosen.total, result.chosen.m1) <= (dims.total, dims.m1)
 
+    def test_tie_break_is_a_key_not_the_fit_order(self):
+        # The admissible set is the 3 x 3 rectangle less (3, 3), inserted in
+        # reverse tie-break order, and gamma = -pen makes every criterion 0.
+        dims = DimPair(3, 3)
+        design = DesignSystem(dims, np.eye(6), np.zeros(6), np.zeros(6), 1.0)
+        pairs = [DimPair(m1, m2) for m1 in range(1, 4) for m2 in range(1, 4)][:-1]
+        pairs.sort(key=lambda d: (d.total, d.m1), reverse=True)
+        fits = {d: FitResult(d, np.zeros(d.total)) for d in pairs}
+        scan = DimensionScan(design, HERMITE, HERMITE, 100, SelectionConfig(), fits, {})
+        for d, fit in fits.items():
+            fit.gamma_value = -scan.penalty(d)
+
+        result = select_adaptive_from_scan(scan)
+        assert result.chosen == DimPair(1, 1) and result.fit is fits[DimPair(1, 1)]
+        assert len(result.criterion_table) == 9
+        assert math.isnan(result.criterion_table[dims].gamma)
+        assert {d for d, e in result.criterion_table.items() if e.admissible} == set(pairs)
+        # lifting the pairs with m1 + m2 < 3 leaves (1, 2) and (2, 1) tied: m1 decides
+        fits[DimPair(1, 1)].gamma_value += 1.0
+        assert select_adaptive_from_scan(scan).chosen == DimPair(1, 2)
+        # a criterion that is not finite never wins
+        fits[DimPair(1, 2)].gamma_value = math.nan
+        fits[DimPair(2, 1)].gamma_value = -math.inf
+        assert select_adaptive_from_scan(scan).chosen == DimPair(1, 3)
+
     def test_penalty_formula_exact(self, bench_sample):
         cfg = small_config()
         scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, cfg)
@@ -196,8 +221,7 @@ def _synthetic_scan(phi, psi, dims, model, support_x, support_y):
     }
     k = dims.total
     design = DesignSystem(dims, np.eye(k), np.zeros(k), np.zeros(k), 1.0)
-    return DimensionScan(design, phi, psi, 100, SelectionConfig(), fits,
-                         dict.fromkeys(pairs, True), {})
+    return DimensionScan(design, phi, psi, 100, SelectionConfig(), fits, {})
 
 
 def _truth(a, b):
@@ -337,9 +361,7 @@ def synthetic_design(rng, m1, m2, dependent=None, d_kind="hermite", noise=1e-9):
 def assert_scan_matches_reference(design, n_paths, config, phi=HERMITE, psi=HERMITE):
     scan = scan_design(design, n_paths, phi, psi, config)
     admissible, fits, max_res = scan_pairwise(design, n_paths, phi, psi, config)
-    assert scan.admissible == admissible
-    assert list(scan.admissible) == list(admissible)  # scan order
-    assert list(scan.fits) == [d for d, ok in admissible.items() if ok]
+    assert set(scan.fits) == {d for d, ok in admissible.items() if ok}
     for dims, (theta, lam, gamma) in fits.items():
         fit = scan.fits[dims]
         scale = np.max(np.abs(theta))
@@ -401,7 +423,7 @@ def test_scan_matches_reference_near_singular(dims, seed, dependent, d_kind):
     config = SelectionConfig()
     scan = assert_scan_matches_reference(design, 1000, config)
     if 0 < dependent < m1 + m2:
-        assert not scan.admissible[DimPair(m1, m2)]
+        assert DimPair(m1, m2) not in scan.fits
 
 
 def test_frontier_walk_calls_the_event_at_most_m1_plus_m2_times(monkeypatch):
@@ -420,7 +442,7 @@ def test_frontier_walk_calls_the_event_at_most_m1_plus_m2_times(monkeypatch):
         design = synthetic_design(rng, 12, 15, dependent=dependent)
         scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
         assert len(calls) <= 12 + 15
-        assert len(scan.admissible) == 12 * 15
+        assert len(select_adaptive_from_scan(scan).criterion_table) == 12 * 15
 
 
 def test_factorization_failure_falls_back_pair_by_pair(monkeypatch):
@@ -445,7 +467,7 @@ def test_factorization_failure_falls_back_pair_by_pair(monkeypatch):
     admissible, fits, _ = scan_pairwise(
         design, 100, HERMITE, HERMITE, SelectionConfig(), event=always
     )
-    assert all(scan.admissible.values()) and scan.admissible == admissible
+    assert all(admissible.values()) and set(scan.fits) == set(admissible)
     for dims, (theta, _, gamma) in fits.items():
         scale = np.max(np.abs(theta))
         np.testing.assert_allclose(scan.fits[dims].theta, theta, rtol=0, atol=1e-10 * scale)
