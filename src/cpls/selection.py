@@ -14,11 +14,22 @@ of one system.
   functions in the theoretical one). By Cauchy interlacing the smallest
   eigenvalue of a principal block is at least that of the whole matrix, so
   the admissible pairs form a down-set: if (m1, m2) passes, so does every
-  smaller pair. A staircase walk, lowering m2 from max_m2 while the event
-  fails and moving on to the next m1, decides the whole rectangle with at
-  most max_m1 + max_m2 stability events.
+  smaller pair. The scan first tries the corner (max_m1, max_m2); if it
+  passes, the whole rectangle is admissible after one stability event.
+  Otherwise a staircase walk, lowering m2 from max_m2 while the event fails
+  and moving on to the next m1, decides the rectangle; it reuses the
+  corner's outcome, so the scan never makes more than max_m1 + max_m2
+  events.
 * Every admissible pair of one m1 is fitted from one Cholesky factor of the
   system up to the frontier (:func:`cpls.estimator.fit_leading_blocks`).
+* The scan is stored as arrays, not as one object per pair: the frontier
+  (the largest admissible m2 of each m1), the contrast and multiplier of
+  each pair as M1 x M2 tables, and every fit's coefficients in one array
+  of rows ``[a-part | 0 | b-part | 0]``. The per-pair ``FitResult`` map
+  (:attr:`DimensionScan.fits`) and the per-pair criterion table
+  (:attr:`SelectionResult.criterion_table`) are read-only views built on
+  first access, for the command line, the scripts and the tests; the
+  selectors never build them.
 
 The adaptive criterion is ``gamma + pen`` with ``gamma = -|fit|_N^2`` and
 ``pen = kappa * sigma_sq * (m1 + m2) / (N * T)``, T the full horizon. The
@@ -34,14 +45,15 @@ a fit's error is ``|R [theta, 0, -1]|^2``, a sum of M + 1 squares. It can
 never be negative and cancels nothing, unlike the expanded form
 ``theta' B theta - 2 theta' c + int a^2``, which was up to 6.0e-8 relative
 off on short boxes, where 39 Hermite functions are nearly dependent (the
-Y (B) cells of table 1). See :func:`oracle_errors`.
+Y (B) cells of table 1). See :func:`_oracle_tables`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -106,46 +118,110 @@ class TableEntry:
         return self.gamma + self.penalty
 
 
+def _pairs(frontier) -> Iterator[DimPair]:
+    """The pairs (m1, m2 <= frontier[m1 - 1]), m1-major."""
+    return (DimPair(m1, m2) for m1, top in enumerate(frontier, 1) for m2 in range(1, top + 1))
+
+
 @dataclass
 class SelectionResult:
-    """Every pair's criterion and the chosen fit (zero at (1, 1), with
-    ``fit.truncated`` set, when no pair is admissible)."""
+    """The chosen fit (zero at (1, 1), with ``fit.truncated`` set, when no
+    pair is admissible) and every pair's criterion.
 
-    criterion_table: dict[DimPair, TableEntry]
+    ``gamma``, ``penalty`` and ``admissible`` are M1 x M2 arrays over the
+    scan rectangle, entry [m1 - 1, m2 - 1] for pair (m1, m2); ``gamma`` is
+    NaN where the pair is not admissible.
+    """
+
     fit: FitResult
+    gamma: np.ndarray
+    penalty: np.ndarray
+    admissible: np.ndarray
 
     @property
     def chosen(self) -> DimPair:
         return self.fit.dims
 
+    @functools.cached_property
+    def criterion_table(self) -> Mapping[DimPair, TableEntry]:
+        """Every pair's entry, m1-major; a read-only view built on first access."""
+        m1, m2 = self.gamma.shape
+        entries = zip(self.gamma.ravel().tolist(), self.penalty.ravel().tolist(),
+                      self.admissible.ravel().tolist())
+        return MappingProxyType(
+            {dims: TableEntry(*entry) for dims, entry in zip(_pairs([m2] * m1), entries)}
+        )
+
 
 @dataclass
 class DimensionScan:
-    """All admissible fits from one cached design assembly: the keys of
-    ``fits`` are the admissible set, a down-set of ``design.dims``."""
+    """All admissible fits from one cached design assembly, as arrays.
+
+    Pair (m1, m2) of the rectangle [1, M1] x [1, M2] = ``design.dims`` is
+    admissible when ``m2 <= frontier[m1 - 1]``. ``gamma`` and ``lam`` (M1 x
+    M2) hold each admissible pair's contrast and multiplier at
+    [m1 - 1, m2 - 1]; ``coef`` (M1 x M2 x (M1 + M2)) holds its coefficients
+    as ``[a-part | 0 | b-part | 0]``, the a-part from column 0 and the
+    b-part from column M1. Entries of pairs that are not admissible are
+    never read.
+    """
 
     design: DesignSystem
     phi: BasisFamily
     psi: BasisFamily
     n_paths: int
     config: SelectionConfig
-    fits: dict[DimPair, FitResult]
+    frontier: np.ndarray
+    gamma: np.ndarray
+    lam: np.ndarray
+    coef: np.ndarray
     max_residuals: dict[str, float]
 
-    def penalty(self, dims: DimPair) -> float:
+    @property
+    def admissible(self) -> np.ndarray:
+        """M1 x M2 mask of the admissible pairs."""
+        return np.arange(1, self.design.dims.m2 + 1) <= self.frontier[:, None]
+
+    @property
+    def penalty(self) -> np.ndarray:
+        """``kappa * sigma_sq * (m1 + m2) / (N * T)`` at every pair, M1 x M2."""
         cfg = self.config
-        return cfg.kappa * cfg.sigma_sq * dims.total / (self.n_paths * self.design.t_norm)
+        m1, m2 = self.design.dims
+        total = np.add.outer(np.arange(1, m1 + 1), np.arange(1, m2 + 1))
+        return cfg.kappa * cfg.sigma_sq * total / (self.n_paths * self.design.t_norm)
+
+    def fit_at(self, m1: int, m2: int) -> FitResult:
+        """The fit of one admissible pair, its coefficients copied out of ``coef``."""
+        row = self.coef[m1 - 1, m2 - 1]
+        big_m1 = self.design.dims.m1
+        return FitResult(
+            dims=DimPair(m1, m2),
+            theta=np.concatenate([row[:m1], row[big_m1 : big_m1 + m2]]),
+            lambda_multiplier=float(self.lam[m1 - 1, m2 - 1]),
+            gamma_value=float(self.gamma[m1 - 1, m2 - 1]),
+        )
+
+    @functools.cached_property
+    def fits(self) -> Mapping[DimPair, FitResult]:
+        """Every admissible fit, m1-major; a read-only view built on first access."""
+        return MappingProxyType({dims: self.fit_at(*dims) for dims in _pairs(self.frontier)})
 
 
 _RESIDUAL_KEYS = ("constraint", "optimality", "kkt")
 
 
-def _fit_block(block: DesignSystem) -> tuple[list[FitResult], dict[str, float]]:
-    """Fits of every pair (m1, 1..m2) of ``block`` = the system at (m1, m2).
+def _fit_block(
+    block: DesignSystem, coef: np.ndarray, lam: np.ndarray, gamma: np.ndarray
+) -> dict[str, float]:
+    """Fit every pair (m1, 1..m2) of ``block`` = the system at (m1, m2).
 
-    Also returns the largest residual of each kind over those fits.
+    Writes the fit at (m1, j + 1) into ``coef[j]`` (the a-part from column
+    0, the b-part from column ``len(coef[j]) - M2``), ``lam[j]`` and
+    ``gamma[j]``: the m1 rows of the scan's arrays. Returns the largest
+    residual of each kind over those fits.
     """
     m1, top = block.dims
+    b0 = coef.shape[1] - coef.shape[0]  # = M1, where the b-part starts
     m2s = range(1, top + 1)
     sizes = [m1 + m2 for m2 in m2s]
     solved = fit_leading_blocks(block, sizes)
@@ -153,20 +229,18 @@ def _fit_block(block: DesignSystem) -> tuple[list[FitResult], dict[str, float]]:
         # The factorization failed: pair by pair, each with its own fallback.
         pairs = [subsystem(block, DimPair(m1, m2)) for m2 in m2s]
         fits = [solve_constrained(pair, check_singular=False) for pair in pairs]
+        for j, fit in enumerate(fits):
+            coef[j, :m1] = fit.theta[:m1]
+            coef[j, b0 : b0 + j + 1] = fit.theta[m1:]
+            lam[j], gamma[j] = fit.lambda_multiplier, fit.gamma_value
         res = [fit_residuals(pair, fit) for pair, fit in zip(pairs, fits)]
-        return fits, {key: max(r[key] for r in res) for key in _RESIDUAL_KEYS}
-    theta, lam, gamma = solved
-    fits = [
-        FitResult(
-            dims=DimPair(m1, m2),
-            theta=theta[:size, j].copy(),
-            lambda_multiplier=float(lam[j]),
-            gamma_value=float(gamma[j]),
-        )
-        for j, (m2, size) in enumerate(zip(m2s, sizes))
-    ]
-    res = leading_block_residuals(block, theta, lam, sizes)
-    return fits, {key: float(res[key].max()) for key in _RESIDUAL_KEYS}
+        return {key: max(r[key] for r in res) for key in _RESIDUAL_KEYS}
+    theta, lam[:top], gamma[:top] = solved
+    # Column j of theta is the fit at (m1, j + 1), zero below row m1 + j.
+    coef[:top, :m1] = theta[:m1].T
+    coef[:top, b0 : b0 + top] = np.tril(theta[m1:].T)
+    res = leading_block_residuals(block, theta, lam[:top], sizes)
+    return {key: float(res[key].max()) for key in _RESIDUAL_KEYS}
 
 
 def scan_design(
@@ -178,27 +252,38 @@ def scan_design(
 ) -> DimensionScan:
     """Fit every admissible pair of the rectangle [1, M1] x [1, M2] = ``design.dims``.
 
-    The stability event runs only along the frontier of the admissible
-    set (at most M1 + M2 calls): the set is a down-set (see the module
-    docstring), so a pair below the frontier passes and a pair above it
-    fails. Per m1, one Cholesky factor of the system up to the frontier
-    fits every admissible m2.
+    The stability event runs at the corner (M1, M2) and, only when that
+    fails, along the frontier of the admissible set, at most M1 + M2 calls
+    in all: the set is a down-set (see the module docstring), so every pair
+    passes when the corner does, and otherwise a pair below the frontier
+    passes and a pair above it fails. Per m1, one Cholesky factor of the
+    system up to the frontier fits every admissible m2.
     """
     max_m1, max_m2 = design.dims
-    fitted: dict[DimPair, FitResult] = {}
+    corner = stability_event(design, n_paths, config.stability, phi, psi)
+
+    def passes(block: DesignSystem, m2: int) -> bool:
+        dims = DimPair(block.dims.m1, m2)
+        if corner or dims == design.dims:
+            return corner
+        return stability_event(subsystem(block, dims), n_paths, config.stability, phi, psi)
+
+    frontier = np.zeros(max_m1, dtype=int)
+    gamma = np.full((max_m1, max_m2), np.nan)
+    lam = np.full((max_m1, max_m2), np.nan)
+    coef = np.zeros((max_m1, max_m2, max_m1 + max_m2))
     max_res = dict.fromkeys(_RESIDUAL_KEYS, 0.0)
     m2 = max_m2
     for m1 in range(1, max_m1 + 1):
         # Every pair (m1, m2) is a leading block of this system.
         block = subsystem(design, DimPair(m1, max_m2))
-        while m2 > 0 and not stability_event(
-            subsystem(block, DimPair(m1, m2)), n_paths, config.stability, phi, psi
-        ):
+        while m2 > 0 and not passes(block, m2):
             m2 -= 1
         if m2 == 0:
             break
-        fits, res = _fit_block(subsystem(block, DimPair(m1, m2)))
-        fitted.update((fit.dims, fit) for fit in fits)
+        frontier[m1 - 1] = m2
+        block = subsystem(block, DimPair(m1, m2))
+        res = _fit_block(block, coef[m1 - 1], lam[m1 - 1], gamma[m1 - 1])
         max_res = {key: max(max_res[key], res[key]) for key in _RESIDUAL_KEYS}
     return DimensionScan(
         design=design,
@@ -206,7 +291,10 @@ def scan_design(
         psi=psi,
         n_paths=n_paths,
         config=config,
-        fits=fitted,
+        frontier=frontier,
+        gamma=gamma,
+        lam=lam,
+        coef=coef,
         max_residuals=max_res,
     )
 
@@ -232,32 +320,27 @@ def scan_dimension_grid(
     return scan_design(design, n, phi, psi, config)
 
 
-@functools.cache
-def _rectangle(dims: DimPair) -> tuple[DimPair, ...]:
-    """Every pair of [1, m1] x [1, m2], made once per rectangle."""
-    return tuple(DimPair(m1, m2) for m1 in range(1, dims.m1 + 1) for m2 in range(1, dims.m2 + 1))
+def _select(scan: DimensionScan, gamma: np.ndarray, penalty: np.ndarray) -> SelectionResult:
+    """Minimize ``gamma + penalty`` (M1 x M2 arrays) over the admissible pairs.
 
-
-def _select(scan: DimensionScan, gamma, penalty) -> SelectionResult:
-    """Minimize ``gamma(fit) + penalty(dims)`` over ``scan.fits``. The table
-    covers the rectangle, with gamma NaN at each pair that is not admissible."""
-    table = {}
-    for dims in _rectangle(scan.design.dims):
-        fit = scan.fits.get(dims)
-        value = math.nan if fit is None else gamma(fit)
-        table[dims] = TableEntry(value, penalty(dims), fit is not None)
-    # The tie-break key; a criterion that is not finite never wins.
-    best = min(
-        ((crit, dims.total, dims.m1, dims) for dims, entry in table.items()
-         if entry.admissible and math.isfinite(crit := entry.criterion)),
-        default=None,
-    )
-    fit = FitResult.zero(DimPair(1, 1)) if best is None else scan.fits[best[-1]]
-    return SelectionResult(criterion_table=table, fit=fit)
+    The key is ``(criterion, m1 + m2, m1)``, and a criterion that is not
+    finite never wins. Only the chosen pair's fit is built.
+    """
+    admissible = scan.admissible
+    gamma = np.where(admissible, gamma, np.nan)
+    criterion = gamma + penalty  # NaN off the admissible set
+    finite = np.isfinite(criterion)
+    if finite.any():
+        i1, i2 = np.nonzero(finite & (criterion == criterion[finite].min()))
+        k = np.lexsort((i1, i1 + i2))[0]
+        fit = scan.fit_at(int(i1[k]) + 1, int(i2[k]) + 1)
+    else:
+        fit = FitResult.zero(DimPair(1, 1))
+    return SelectionResult(fit=fit, gamma=gamma, penalty=penalty, admissible=admissible)
 
 
 def select_adaptive_from_scan(scan: DimensionScan) -> SelectionResult:
-    return _select(scan, lambda fit: fit.gamma_value, scan.penalty)
+    return _select(scan, scan.gamma, scan.penalty)
 
 
 def select_adaptive(
@@ -286,10 +369,8 @@ def _box_factor(family: BasisFamily, m: int, lo: float, hi: float, truth) -> np.
     return np.linalg.qr(rows.T, mode="r")
 
 
-def oracle_errors(
-    scan: DimensionScan, truth: SdeModel, bounds
-) -> dict[DimPair, tuple[float, float]]:
-    """Box-restricted squared errors (a-part, b-part) of every fitted pair.
+def _oracle_tables(scan: DimensionScan, truth: SdeModel, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Box-restricted squared errors (a-part, b-part) of every admissible pair, as M1 x M2 arrays.
 
     The quadrature runs once per component, not once per fit. On the
     Simpson nodes g (weights w) of one side of the box, :func:`_box_factor`
@@ -311,37 +392,46 @@ def oracle_errors(
     node-by-node quadrature over 36 scans covering the 12 cells of table 1,
     against 5.4e-12 for this form.
 
-    ``R v`` for every fit is one matrix product per component; the sums of
-    squares are plain column sums (``einsum``, not a BLAS product), so they
-    do not depend on the BLAS thread count.
+    ``R v`` for every fit is one matrix product per component over the
+    admissible rows of ``scan.coef``, which already hold the padded ``v``;
+    the sums of squares are plain row sums (``einsum``, not a BLAS
+    product), so they do not depend on the BLAS thread count. The errors
+    are NaN where a pair is not admissible.
     """
-    if not scan.fits:
-        return {}
+    admissible = scan.admissible
+    err_a = np.full(admissible.shape, np.nan)
+    err_b = np.full(admissible.shape, np.nan)
+    if not admissible.any():
+        return err_a, err_b
     big = scan.design.dims
     r_a = _box_factor(scan.phi, big.m1, bounds.a_x, bounds.b_x, truth.a)
     r_b = _box_factor(scan.psi, big.m2, bounds.a_y, bounds.b_y, truth.b)
-    fits = scan.fits.values()
-    m1 = np.array([fit.dims.m1 for fit in fits])[:, None]
-    m2 = np.array([fit.dims.m2 for fit in fits])[:, None]
-    # Row j: fit j's a-coefficients, zeros up to M1, its b-coefficients,
-    # zeros up to M2. A boolean mask fills its True places in row-major
-    # order, which is the order of the concatenated thetas.
-    col = np.arange(big.total)
-    coef = np.zeros((len(fits), big.total))
-    coef[(col < m1) | ((col >= big.m1) & (col < big.m1 + m2))] = np.concatenate(
-        [fit.theta for fit in fits]
-    )
+    coef = scan.coef[admissible]  # m1-major, one row per admissible pair
     # R @ [theta, -1] for every fit at once, one product per component.
     res_a = coef[:, : big.m1] @ r_a[:, :-1].T - r_a[:, -1]
     res_b = coef[:, big.m1 :] @ r_b[:, :-1].T - r_b[:, -1]
-    err_a = np.einsum("ji,ji->j", res_a, res_a).tolist()
-    err_b = np.einsum("ji,ji->j", res_b, res_b).tolist()
-    return dict(zip(scan.fits, zip(err_a, err_b)))
+    err_a[admissible] = np.einsum("ji,ji->j", res_a, res_a)
+    err_b[admissible] = np.einsum("ji,ji->j", res_b, res_b)
+    return err_a, err_b
+
+
+def oracle_errors(
+    scan: DimensionScan, truth: SdeModel, bounds
+) -> dict[DimPair, tuple[float, float]]:
+    """Box-restricted squared errors (a-part, b-part) of every admissible pair, m1-major.
+
+    The per-pair form of :func:`_oracle_tables`, for reports and tests.
+    """
+    err_a, err_b = _oracle_tables(scan, truth, bounds)
+    return {
+        dims: (float(err_a[dims.m1 - 1, dims.m2 - 1]), float(err_b[dims.m1 - 1, dims.m2 - 1]))
+        for dims in _pairs(scan.frontier)
+    }
 
 
 def select_oracle_from_scan(scan: DimensionScan, truth: SdeModel, bounds) -> SelectionResult:
-    errors = oracle_errors(scan, truth, bounds)
-    return _select(scan, lambda fit: sum(errors[fit.dims]), lambda dims: 0.0)
+    err_a, err_b = _oracle_tables(scan, truth, bounds)
+    return _select(scan, err_a + err_b, np.zeros(err_a.shape))
 
 
 def criterion_table_rows(result: SelectionResult) -> list[tuple]:

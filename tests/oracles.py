@@ -100,6 +100,34 @@ def scan_pairwise(design, n_paths, phi, psi, config, event=None):
     return admissible, fits, max_res
 
 
+def scan_from_fits(design, phi, psi, n_paths, config, fits):
+    """A :class:`cpls.selection.DimensionScan` whose arrays hold ``fits``.
+
+    ``fits`` maps pairs of ``design.dims`` to :class:`cpls.estimator.FitResult`,
+    in any order; its pairs must form a down-set, as a scan's do. Each
+    fit's coefficients go into the scan's ``coef`` row in the
+    ``[a-part | 0 | b-part | 0]`` layout, its contrast and multiplier into
+    ``gamma`` and ``lam``; the residual maxima are left empty.
+    """
+    from cpls.selection import DimensionScan
+
+    big = design.dims
+    frontier = np.zeros(big.m1, dtype=int)
+    gamma = np.full((big.m1, big.m2), np.nan)
+    lam = np.full((big.m1, big.m2), np.nan)
+    coef = np.zeros((big.m1, big.m2, big.total))
+    for dims, fit in fits.items():
+        i, j = dims.m1 - 1, dims.m2 - 1
+        frontier[i] = max(frontier[i], dims.m2)
+        gamma[i, j], lam[i, j] = fit.gamma_value, fit.lambda_multiplier
+        coef[i, j, : dims.m1] = fit.theta[: dims.m1]
+        coef[i, j, big.m1 : big.m1 + dims.m2] = fit.theta[dims.m1 :]
+    scan = DimensionScan(design, phi, psi, n_paths, config, frontier, gamma, lam, coef, {})
+    if set(scan.fits) != set(fits):
+        raise ValueError("the pairs of fits are not a down-set")
+    return scan
+
+
 def design_pointwise(sample, phi, psi, dims, t_norm):
     """(Gram, observation vector) by a plain loop over paths and window points.
 

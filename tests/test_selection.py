@@ -15,7 +15,6 @@ from cpls.estimator import FitResult, StabilityRule, fit_leading_blocks, stabili
 from cpls.experiments import QuantileBox, mse_box, quantile_box
 from cpls.quadrature import simpson_grid
 from cpls.selection import (
-    DimensionScan,
     SelectionConfig,
     criterion_table_rows,
     oracle_errors,
@@ -34,7 +33,7 @@ from cpls.simulate import (
 )
 
 from conftest import make_sample
-from oracles import box_errors_by_quadrature, scan_pairwise
+from oracles import box_errors_by_quadrature, scan_from_fits, scan_pairwise
 
 
 def small_config(**kw):
@@ -80,28 +79,33 @@ class TestSelectAdaptive:
                 assert (result.chosen.total, result.chosen.m1) <= (dims.total, dims.m1)
 
     def test_tie_break_is_a_key_not_the_fit_order(self):
-        # The admissible set is the 3 x 3 rectangle less (3, 3), inserted in
-        # reverse tie-break order, and gamma = -pen makes every criterion 0.
+        # The admissible set is the 3 x 3 rectangle less (3, 3), handed over
+        # in reverse tie-break order, and gamma = -pen makes every criterion
+        # 0. The entry of (3, 3), not admissible, is given the least value.
         dims = DimPair(3, 3)
         design = DesignSystem(dims, np.eye(6), np.zeros(6), np.zeros(6), 1.0)
         pairs = [DimPair(m1, m2) for m1 in range(1, 4) for m2 in range(1, 4)][:-1]
         pairs.sort(key=lambda d: (d.total, d.m1), reverse=True)
-        fits = {d: FitResult(d, np.zeros(d.total)) for d in pairs}
-        scan = DimensionScan(design, HERMITE, HERMITE, 100, SelectionConfig(), fits, {})
-        for d, fit in fits.items():
-            fit.gamma_value = -scan.penalty(d)
+        fits = {d: FitResult(d, np.arange(1.0, d.total + 1)) for d in pairs}
+        scan = scan_from_fits(design, HERMITE, HERMITE, 100, SelectionConfig(), fits)
+        scan.gamma[:] = -scan.penalty
+        scan.gamma[2, 2] = -1e9
 
         result = select_adaptive_from_scan(scan)
-        assert result.chosen == DimPair(1, 1) and result.fit is fits[DimPair(1, 1)]
+        assert result.chosen == DimPair(1, 1)
+        np.testing.assert_array_equal(result.fit.theta, fits[DimPair(1, 1)].theta)
         assert len(result.criterion_table) == 9
         assert math.isnan(result.criterion_table[dims].gamma)
         assert {d for d, e in result.criterion_table.items() if e.admissible} == set(pairs)
         # lifting the pairs with m1 + m2 < 3 leaves (1, 2) and (2, 1) tied: m1 decides
-        fits[DimPair(1, 1)].gamma_value += 1.0
+        scan.gamma[0, 0] += 1.0
         assert select_adaptive_from_scan(scan).chosen == DimPair(1, 2)
+        # with (1, 2) lifted too, m1 + m2 decides before the m1-major order: (2, 1), not (1, 3)
+        scan.gamma[0, 1] += 1.0
+        assert select_adaptive_from_scan(scan).chosen == DimPair(2, 1)
         # a criterion that is not finite never wins
-        fits[DimPair(1, 2)].gamma_value = math.nan
-        fits[DimPair(2, 1)].gamma_value = -math.inf
+        scan.gamma[0, 1] = math.nan
+        scan.gamma[1, 0] = -math.inf
         assert select_adaptive_from_scan(scan).chosen == DimPair(1, 3)
 
     def test_penalty_formula_exact(self, bench_sample):
@@ -221,7 +225,7 @@ def _synthetic_scan(phi, psi, dims, model, support_x, support_y):
     }
     k = dims.total
     design = DesignSystem(dims, np.eye(k), np.zeros(k), np.zeros(k), 1.0)
-    return DimensionScan(design, phi, psi, 100, SelectionConfig(), fits, {})
+    return scan_from_fits(design, phi, psi, 100, SelectionConfig(), fits)
 
 
 def _truth(a, b):
@@ -441,8 +445,72 @@ def test_frontier_walk_calls_the_event_at_most_m1_plus_m2_times(monkeypatch):
         calls.clear()
         design = synthetic_design(rng, 12, 15, dependent=dependent)
         scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
-        assert len(calls) <= 12 + 15
+        if dependent is None:
+            # well conditioned: the corner passes, and decides the rectangle
+            assert calls == [DimPair(12, 15)] and scan.admissible.all()
+        else:
+            assert calls[0] == DimPair(12, 15) and not scan.admissible.all()
+            assert len(calls) <= 12 + 15
         assert len(select_adaptive_from_scan(scan).criterion_table) == 12 * 15
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dependent", [None, 9])
+def test_views_equal_the_arrays(dependent):
+    # With dependent = 9 the m1 = 6 row stops short of M2: the views must skip
+    # the pairs above the frontier.
+    rng = np.random.default_rng(7)
+    design = synthetic_design(rng, 6, 7, dependent=dependent)
+    scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
+    big = design.dims
+    rectangle = [DimPair(m1, m2) for m1 in range(1, big.m1 + 1) for m2 in range(1, big.m2 + 1)]
+    admissible = scan.admissible
+    np.testing.assert_array_equal(admissible.sum(axis=1), scan.frontier)
+    assert list(scan.fits) == [d for d in rectangle if admissible[d.m1 - 1, d.m2 - 1]]
+    assert admissible.all() == (dependent is None)
+    for dims, fit in scan.fits.items():
+        i, j = dims.m1 - 1, dims.m2 - 1
+        row = scan.coef[i, j]
+        assert fit.dims == dims
+        assert _bits(fit.theta) == _bits(np.concatenate([row[: dims.m1], row[big.m1 : big.m1 + dims.m2]]))
+        assert not row[dims.m1 : big.m1].any() and not row[big.m1 + dims.m2 :].any()
+        assert _bits(fit.gamma_value) == _bits(scan.gamma[i, j])
+        assert _bits(fit.lambda_multiplier) == _bits(scan.lam[i, j])
+
+    result = select_adaptive_from_scan(scan)
+    table = result.criterion_table
+    assert table is result.criterion_table  # built once
+    assert list(table) == rectangle
+    for dims, entry in table.items():
+        i, j = dims.m1 - 1, dims.m2 - 1
+        assert entry.admissible == admissible[i, j]
+        assert _bits(entry.penalty) == _bits(scan.penalty[i, j])
+        assert _bits(entry.gamma) == _bits(scan.gamma[i, j] if entry.admissible else math.nan)
+    with pytest.raises(TypeError):
+        table[DimPair(1, 1)] = None
+    with pytest.raises(TypeError):
+        scan.fits[DimPair(1, 1)] = None
+
+
+def test_selection_result_does_not_keep_the_scan_arrays(bench_sample):
+    # A caller keeps results (a benchmark round keeps four), each scan's
+    # coefficient array is M1 x M2 x (M1 + M2) floats.
+    import gc
+    import weakref
+
+    model = make_model(3)
+    scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, small_config(max_m1=8, max_m2=8))
+    coef = weakref.ref(scan.coef)
+    results = [select_adaptive_from_scan(scan), select_oracle_from_scan(scan, model, quantile_box(bench_sample))]
+    for result in results:
+        assert result.criterion_table
+    del scan
+    gc.collect()
+    assert coef() is None
+    assert all(not r.fit.truncated for r in results)
 
 
 def test_factorization_failure_falls_back_pair_by_pair(monkeypatch):
