@@ -52,6 +52,7 @@ from cpls.selection import (
     SCAN_BOUND,
     DimensionScan,
     SelectionConfig,
+    _select,
     oracle_errors,
     scan_dimension_grid,
     select_adaptive_from_scan,
@@ -166,11 +167,6 @@ def best_fit_bias(fn, m: int, lo: float, hi: float) -> float:
     return float(w @ (resid * resid)) / (hi - lo)
 
 
-def _first_min(scores: dict) -> tuple[int, int]:
-    d = min(scores, key=lambda d: (scores[d], d.total, d.m1, d.m2))
-    return d.m1, d.m2
-
-
 def lead_rep(task: tuple[int, str, int, int, int]) -> dict:
     model_id, y_type, n, rep, seed = task
     cfg = config_at(REFERENCE_BOUND)
@@ -189,17 +185,18 @@ def lead_rep(task: tuple[int, str, int, int, int]) -> dict:
         scan = restrict(full, bound)
         adaptive = select_adaptive_from_scan(scan)
         oracle = select_oracle_from_scan(scan, model, box)
-        errs = oracle_errors(scan, model, box)
+        err_a, err_b = oracle_errors(scan, model, box)
         row = {"m1": adaptive.chosen.m1, "m2": adaptive.chosen.m2,
                "on_bound": bound in (adaptive.chosen.m1, adaptive.chosen.m2),
                "oracle": (oracle.chosen.m1, oracle.chosen.m2)}
         row.update(box_errors(adaptive.fit, model, box))
         pooled = box_errors(adaptive.fit, model, pbox)
         row["pooled_avg_a"], row["pooled_avg_b"] = pooled["avg_a"], pooled["avg_b"]
-        row["oracle_per_component"] = (_first_min({d: e[0] for d, e in errs.items()})[0],
-                                       _first_min({d: e[1] for d, e in errs.items()})[1])
-        row["oracle_box_avg"] = _first_min(
-            {d: e[0] / out["len_x"] + e[1] / out["len_y"] for d, e in errs.items()})
+        # The selector's own minimum and tie-break, on other criteria.
+        row["oracle_per_component"] = (_select(scan, err_a, 0.0).chosen.m1,
+                                       _select(scan, err_b, 0.0).chosen.m2)
+        row["oracle_box_avg"] = tuple(
+            _select(scan, err_a / out["len_x"], err_b / out["len_y"]).chosen)
         row["bias_a"] = best_fit_bias(model.a, adaptive.chosen.m1, box.a_x, box.b_x)
         out[bound] = row
     return out

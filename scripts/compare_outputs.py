@@ -18,6 +18,8 @@ equal apart from ``wall_s``, the one timing they hold. The script prints
 one line per file and exits with status 1 if any file differs or is written
 by one checkout only. It checks a change that claims to keep every output
 byte; it is not a test, because a change may instead state a tolerance.
+Given one checkout twice (``python scripts/compare_outputs.py . .``), it
+checks that reruns write the same bytes, as CI does.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ from .experiments import (
 )
 from .selection import (
     SelectionConfig,
-    criterion_table_rows,
     scan_dimension_grid,
     select_adaptive_from_scan,
 )
@@ -321,10 +320,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     coef_rows = [["a", j + 1, v] for j, v in enumerate(theta[:m1])]
     coef_rows += [["b", j + 1, v] for j, v in enumerate(theta[m1:])]
     _write_csv(out / "fit_coefficients.csv", ["component", "basis_index", "value"], coef_rows)
+    # One row per pair of the scan rectangle, m1-major.
+    m1s, m2s = np.indices(result.gamma.shape) + 1
+    columns = (m1s, m2s, result.gamma, result.penalty, result.admissible,
+               result.gamma + result.penalty)
     _write_csv(
         out / "fit_criterion_table.csv",
         ["m1", "m2", "gamma", "pen", "admissible", "criterion"],
-        criterion_table_rows(result),
+        zip(*(column.ravel().tolist() for column in columns)),
     )
     _write_meta(
         out / "fit_meta.json",

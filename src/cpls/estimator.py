@@ -67,11 +67,15 @@ def _cholesky_solver(gram: np.ndarray, mask: np.ndarray):
     chol, info = scipy.linalg.lapack.dpotrf(gram, lower=1)
     if info != 0:
         return None
+    # LAPACK's triangular solve, called directly, as scipy's solve_triangular
+    # only wraps this call in checks: the factor's diagonal is positive, so
+    # the solve cannot fail.
+    trtrs = scipy.linalg.lapack.dtrtrs
 
     def solve_once(rhs: np.ndarray) -> np.ndarray:
-        y = scipy.linalg.solve_triangular(chol, rhs, lower=True, check_finite=False)
+        y, _ = trtrs(chol, rhs, lower=1)
         y[~mask] = 0.0
-        return scipy.linalg.solve_triangular(chol, y, lower=True, trans="T", check_finite=False)
+        return trtrs(chol, y, lower=1, trans=1)[0]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         sol = solve_once(rhs)
@@ -230,8 +234,10 @@ class StabilityRule:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ValueError(f"unknown stability mode {self.mode!r}")
-        if self.cutoff <= 0 or self.r <= 0:
-            raise ValueError("cutoff and r must be positive")
+        for name in ("cutoff", "r"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def c_r(self) -> float:

@@ -350,13 +350,13 @@ def run_cells(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     cells = [tuple(cell) for cell in cells]
+    config = config or ExperimentConfig()
     for model_id, y_type, n_paths in cells:
-        # A bad cell is the caller's error, not a failed repetition.
-        make_model(model_id)
-        explanatory_by_name(y_type)
+        # A bad cell or setting is the caller's error, not a failed repetition.
+        make_model(model_id, sigma=config.sigma, x0=config.x0)
+        explanatory_by_name(y_type, sigma_y=config.sigma_y)
         if n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    config = config or ExperimentConfig()
     groups: dict[tuple, set[int]] = {}
     for model_id, y_type, n_paths in cells:
         key = (model_id, y_type, scan_bounds(config.selection, n_paths))

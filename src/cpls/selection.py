@@ -25,11 +25,9 @@ of one system.
 * The scan is stored as arrays, not as one object per pair: the frontier
   (the largest admissible m2 of each m1), the contrast and multiplier of
   each pair as M1 x M2 tables, and every fit's coefficients in one array
-  of rows ``[a-part | 0 | b-part | 0]``. The per-pair ``FitResult`` map
-  (:attr:`DimensionScan.fits`) and the per-pair criterion table
-  (:attr:`SelectionResult.criterion_table`) are read-only views built on
-  first access, for the command line, the scripts and the tests; the
-  selectors never build them.
+  of rows ``[a-part | 0 | b-part | 0]``. Every reader indexes these arrays;
+  only the chosen pair's ``FitResult`` is built
+  (:meth:`DimensionScan.fit_at`).
 
 The adaptive criterion is ``gamma + pen`` with ``gamma = -|fit|_N^2`` and
 ``pen = kappa * sigma_sq * (m1 + m2) / (N * T)``, T the full horizon. The
@@ -45,15 +43,16 @@ a fit's error is ``|R [theta, 0, -1]|^2``, a sum of M + 1 squares. It can
 never be negative and cancels nothing, unlike the expanded form
 ``theta' B theta - 2 theta' c + int a^2``, which was up to 6.0e-8 relative
 off on short boxes, where 39 Hermite functions are nearly dependent (the
-Y (B) cells of table 1). See :func:`_oracle_tables`.
+Y (B) cells of table 1). See :func:`oracle_errors`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -99,10 +98,10 @@ class SelectionConfig:
     stability: StabilityRule = field(default_factory=StabilityRule)
 
     def __post_init__(self):
-        if not (self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
-        if self.sigma_sq < 0:
-            raise ValueError(f"sigma_sq must be nonnegative, got {self.sigma_sq!r}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa!r}")
+        if not (math.isfinite(self.sigma_sq) and self.sigma_sq >= 0):
+            raise ValueError(f"sigma_sq must be finite and nonnegative, got {self.sigma_sq!r}")
         if self.max_m1 < 1 or self.max_m2 < 1:
             raise ValueError("scan bounds must be at least 1")
 
@@ -112,15 +111,6 @@ class TableEntry:
     gamma: float
     penalty: float
     admissible: bool
-
-    @property
-    def criterion(self) -> float:
-        return self.gamma + self.penalty
-
-
-def _pairs(frontier) -> Iterator[DimPair]:
-    """The pairs (m1, m2 <= frontier[m1 - 1]), m1-major."""
-    return (DimPair(m1, m2) for m1, top in enumerate(frontier, 1) for m2 in range(1, top + 1))
 
 
 @dataclass
@@ -144,13 +134,17 @@ class SelectionResult:
 
     @functools.cached_property
     def criterion_table(self) -> Mapping[DimPair, TableEntry]:
-        """Every pair's entry, m1-major; a read-only view built on first access."""
-        m1, m2 = self.gamma.shape
+        """Every pair's entry, m1-major; a read-only view built on first access.
+
+        Kept for the benchmark's argmin check
+        (``benchmarks/checks.py::chosen_is_argmin``), which reads the table
+        pair by pair; the program reads the arrays.
+        """
+        big_m1, big_m2 = self.gamma.shape
+        pairs = (DimPair(m1, m2) for m1 in range(1, big_m1 + 1) for m2 in range(1, big_m2 + 1))
         entries = zip(self.gamma.ravel().tolist(), self.penalty.ravel().tolist(),
                       self.admissible.ravel().tolist())
-        return MappingProxyType(
-            {dims: TableEntry(*entry) for dims, entry in zip(_pairs([m2] * m1), entries)}
-        )
+        return MappingProxyType({dims: TableEntry(*entry) for dims, entry in zip(pairs, entries)})
 
 
 @dataclass
@@ -200,11 +194,6 @@ class DimensionScan:
             lambda_multiplier=float(self.lam[m1 - 1, m2 - 1]),
             gamma_value=float(self.gamma[m1 - 1, m2 - 1]),
         )
-
-    @functools.cached_property
-    def fits(self) -> Mapping[DimPair, FitResult]:
-        """Every admissible fit, m1-major; a read-only view built on first access."""
-        return MappingProxyType({dims: self.fit_at(*dims) for dims in _pairs(self.frontier)})
 
 
 _RESIDUAL_KEYS = ("constraint", "optimality", "kkt")
@@ -369,7 +358,7 @@ def _box_factor(family: BasisFamily, m: int, lo: float, hi: float, truth) -> np.
     return np.linalg.qr(rows.T, mode="r")
 
 
-def _oracle_tables(scan: DimensionScan, truth: SdeModel, bounds) -> tuple[np.ndarray, np.ndarray]:
+def oracle_errors(scan: DimensionScan, truth: SdeModel, bounds) -> tuple[np.ndarray, np.ndarray]:
     """Box-restricted squared errors (a-part, b-part) of every admissible pair, as M1 x M2 arrays.
 
     The quadrature runs once per component, not once per fit. On the
@@ -415,28 +404,7 @@ def _oracle_tables(scan: DimensionScan, truth: SdeModel, bounds) -> tuple[np.nda
     return err_a, err_b
 
 
-def oracle_errors(
-    scan: DimensionScan, truth: SdeModel, bounds
-) -> dict[DimPair, tuple[float, float]]:
-    """Box-restricted squared errors (a-part, b-part) of every admissible pair, m1-major.
-
-    The per-pair form of :func:`_oracle_tables`, for reports and tests.
-    """
-    err_a, err_b = _oracle_tables(scan, truth, bounds)
-    return {
-        dims: (float(err_a[dims.m1 - 1, dims.m2 - 1]), float(err_b[dims.m1 - 1, dims.m2 - 1]))
-        for dims in _pairs(scan.frontier)
-    }
-
-
 def select_oracle_from_scan(scan: DimensionScan, truth: SdeModel, bounds) -> SelectionResult:
-    err_a, err_b = _oracle_tables(scan, truth, bounds)
+    err_a, err_b = oracle_errors(scan, truth, bounds)
     return _select(scan, err_a + err_b, np.zeros(err_a.shape))
 
-
-def criterion_table_rows(result: SelectionResult) -> list[tuple]:
-    """Rows (m1, m2, gamma, pen, admissible, criterion), m1-major, for CSV dumps."""
-    return [
-        (dims.m1, dims.m2, entry.gamma, entry.penalty, entry.admissible, entry.criterion)
-        for dims, entry in result.criterion_table.items()
-    ]

@@ -84,8 +84,8 @@ class ExplanatorySpec:
     h: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not (self.sigma_y > 0):
-            raise ValueError(f"sigma_y must be positive, got {self.sigma_y!r}")
+        if not (math.isfinite(self.sigma_y) and self.sigma_y > 0):
+            raise ValueError(f"sigma_y must be finite and positive, got {self.sigma_y!r}")
         if self.kind is YKind.ORNSTEIN_UHLENBECK:
             if not (self.ou_rate > 0 and self.ou_gamma > 0):
                 raise ValueError("Ornstein-Uhlenbeck requires ou_rate > 0 and ou_gamma > 0")

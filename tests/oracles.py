@@ -75,8 +75,8 @@ def scan_pairwise(design, n_paths, phi, psi, config, event=None):
     Walks every (m1, m2) of ``design.dims`` and applies the definitions
     directly, with no use of the nesting between pairs. Returns
     ``(admissible, fits, max_residuals)``: ``admissible`` maps every pair to
-    its event's outcome, so its True keys are the admissible set (the keys
-    of ``DimensionScan.fits``); ``fits`` maps each admissible pair to
+    its event's outcome, so its True keys are the admissible set (the True
+    entries of ``DimensionScan.admissible``); ``fits`` maps each admissible pair to
     ``(theta, lambda, gamma)``. ``event`` replaces
     :func:`cpls.estimator.stability_event`.
     """
@@ -116,14 +116,16 @@ def scan_from_fits(design, phi, psi, n_paths, config, fits):
     gamma = np.full((big.m1, big.m2), np.nan)
     lam = np.full((big.m1, big.m2), np.nan)
     coef = np.zeros((big.m1, big.m2, big.total))
+    given = np.zeros((big.m1, big.m2), dtype=bool)
     for dims, fit in fits.items():
         i, j = dims.m1 - 1, dims.m2 - 1
+        given[i, j] = True
         frontier[i] = max(frontier[i], dims.m2)
         gamma[i, j], lam[i, j] = fit.gamma_value, fit.lambda_multiplier
         coef[i, j, : dims.m1] = fit.theta[: dims.m1]
         coef[i, j, big.m1 : big.m1 + dims.m2] = fit.theta[dims.m1 :]
     scan = DimensionScan(design, phi, psi, n_paths, config, frontier, gamma, lam, coef, {})
-    if set(scan.fits) != set(fits):
+    if not np.array_equal(scan.admissible, given):
         raise ValueError("the pairs of fits are not a down-set")
     return scan
 
@@ -176,7 +178,8 @@ def box_errors_by_quadrature(scan, truth, bounds):
     Evaluates each fitted curve on the Simpson nodes of the box and sums the
     weighted squared residuals, one matrix product per m1 and component: the
     direct definition that :func:`cpls.selection.oracle_errors` reads off a
-    QR factor instead.
+    QR factor instead. Returns two M1 x M2 arrays, NaN where a pair is not
+    admissible.
     """
     from cpls.bases import eval_matrix
     from cpls.quadrature import simpson_grid
@@ -189,20 +192,19 @@ def box_errors_by_quadrature(scan, truth, bounds):
     by = eval_matrix(scan.psi, big.m2, yg)
     a_true = np.asarray(truth.a(xg), dtype=float)
     b_true = np.asarray(truth.b(yg), dtype=float)
-    by_m1 = {}
-    for fit in scan.fits.values():
-        by_m1.setdefault(fit.dims.m1, []).append(fit)
-    errors = {}
-    for m1, fits in by_m1.items():
+    err_a = np.full((big.m1, big.m2), np.nan)
+    err_b = np.full((big.m1, big.m2), np.nan)
+    for m1, top in enumerate(scan.frontier.tolist(), 1):
+        if top == 0:
+            continue
+        fits = [scan.fit_at(m1, m2) for m2 in range(1, top + 1)]
         theta_a = np.column_stack([fit.theta[:m1] for fit in fits])
-        theta_b = np.zeros((big.m2, len(fits)))
+        theta_b = np.zeros((big.m2, top))
         for j, fit in enumerate(fits):
-            theta_b[: fit.dims.m2, j] = fit.theta[m1:]
+            theta_b[: j + 1, j] = fit.theta[m1:]
         ra = bx[:, :m1] @ theta_a - a_true[:, None]
         rb = by @ theta_b - b_true[:, None]
         # einsum, not a BLAS product: its sums do not depend on the thread count
-        err_a = np.einsum("i,ij->j", wx, ra * ra)
-        err_b = np.einsum("i,ij->j", wy, rb * rb)
-        for j, fit in enumerate(fits):
-            errors[fit.dims] = (float(err_a[j]), float(err_b[j]))
-    return {dims: errors[dims] for dims in scan.fits}
+        err_a[m1 - 1, :top] = np.einsum("i,ij->j", wx, ra * ra)
+        err_b[m1 - 1, :top] = np.einsum("i,ij->j", wy, rb * rb)
+    return err_a, err_b

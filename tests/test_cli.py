@@ -258,6 +258,32 @@ class TestConfigHandling:
         assert code == 1
         assert capsys.readouterr().err == "error [ValueError]: n_paths must be >= 1, got 0\n"
 
+    _INVALID_SETTINGS = [
+        (["fit", "--cutoff", "nan"], "cutoff must be finite and positive, got nan"),
+        (["fit", "--kappa", "inf"], "kappa must be finite and positive, got inf"),
+        (["fit", "--stability", "theoretical", "--r", "nan"], "r must be finite and positive, got nan"),
+        (["experiment", "--sigma", "nan"], "sigma_sq must be finite and nonnegative, got nan"),
+        (["experiment", "--sigma-y", "nan"], "sigma_y must be finite and positive, got nan"),
+        (["experiment", "--sigma-y", "inf"], "sigma_y must be finite and positive, got inf"),
+        (["experiment", "--sigma-y", "-1"], "sigma_y must be finite and positive, got -1.0"),
+        (["experiment", "--x0", "inf"], "x0 must be finite, got inf"),
+    ]
+
+    @pytest.mark.parametrize("args, message", _INVALID_SETTINGS,
+                             ids=[" ".join(args) for args, _ in _INVALID_SETTINGS])
+    def test_invalid_settings_fail_before_any_repetition(self, tmp_path, capsys, monkeypatch,
+                                                        args, message):
+        import cpls.experiments as expmod
+
+        def no_repetition(task):
+            raise AssertionError("a repetition ran")
+
+        monkeypatch.setattr(expmod, "_run_rep", no_repetition)
+        code = run_cli([*args, "--out", str(tmp_path), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == f"error [ValueError]: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nmodel = 3\nseed = 11\nkappa = 4.0\nmax-m1 = 12\nsigma = 2\n")

@@ -16,7 +16,6 @@ from cpls.experiments import QuantileBox, mse_box, quantile_box
 from cpls.quadrature import simpson_grid
 from cpls.selection import (
     SelectionConfig,
-    criterion_table_rows,
     oracle_errors,
     scan_design,
     scan_dimension_grid,
@@ -68,15 +67,13 @@ class TestSelectAdaptive:
     def test_chosen_minimizes_stored_table(self, bench_sample):
         cfg = small_config(max_m1=5, max_m2=4)
         result = select_adaptive(bench_sample, HERMITE, HERMITE, cfg)
-        values = {
-            dims: e.criterion for dims, e in result.criterion_table.items() if e.admissible
-        }
-        best = min(values.values())
-        assert values[result.chosen] == best
+        criterion = result.gamma + result.penalty  # NaN off the admissible set
+        best = np.nanmin(criterion)
+        chosen = result.chosen
+        assert criterion[chosen.m1 - 1, chosen.m2 - 1] == best
         # tie-break: nothing strictly better at smaller total dimension
-        for dims, val in values.items():
-            if val == best:
-                assert (result.chosen.total, result.chosen.m1) <= (dims.total, dims.m1)
+        for i, j in zip(*np.nonzero(criterion == best)):
+            assert (chosen.total, chosen.m1) <= (i + j + 2, i + 1)
 
     def test_tie_break_is_a_key_not_the_fit_order(self):
         # The admissible set is the 3 x 3 rectangle less (3, 3), handed over
@@ -120,10 +117,12 @@ class TestSelectAdaptive:
     def test_gamma_equals_quadratic_form(self, bench_sample):
         cfg = small_config()
         scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, cfg)
-        for dims, fit in scan.fits.items():
-            from cpls.design import subsystem
+        assert scan.admissible.any()
+        from cpls.design import subsystem
 
-            sub = subsystem(scan.design, dims)
+        for i, j in zip(*np.nonzero(scan.admissible)):
+            fit = scan.fit_at(i + 1, j + 1)
+            sub = subsystem(scan.design, fit.dims)
             assert fit.gamma_value == pytest.approx(
                 -(fit.theta @ sub.gram @ fit.theta), rel=1e-12, abs=1e-15
             )
@@ -152,7 +151,7 @@ class TestSelectAdaptive:
         # the oracle has no fit to score either
         scan = scan_dimension_grid(sample, TRIG, TRIG, cfg)
         box = QuantileBox(0.0, 1.0, 0.0, 1.0)
-        assert oracle_errors(scan, make_model(2), box) == {}
+        assert all(np.isnan(err).all() for err in oracle_errors(scan, make_model(2), box))
         assert select_oracle_from_scan(scan, make_model(2), box).fit.truncated
 
     def test_stability_rule_forwarded(self, bench_sample):
@@ -182,11 +181,11 @@ class TestSelectOracle:
         box = QuantileBox(-1.5, 1.5, -1.5, 1.5)
         cfg = small_config(max_m1=3, max_m2=3, sigma_sq=0.0025)
         scan = scan_dimension_grid(sample, HERMITE, HERMITE, cfg)
-        errors = oracle_errors(scan, model, box)
-        target = DimPair(2, 2)
-        for dims, err in errors.items():
-            if dims.m1 <= 2 and dims.m2 <= 2 and dims != target:
-                assert sum(errors[target]) < sum(err)
+        total = sum(oracle_errors(scan, model, box))
+        # (2, 2) beats every smaller pair that is admissible
+        others = total[:2, :2].ravel()[:3]
+        assert math.isfinite(total[1, 1])
+        assert np.all(total[1, 1] < others[np.isfinite(others)])
 
     def test_oracle_sum_dominates_adaptive_on_every_rep(self, bench_sample):
         cfg = small_config(max_m1=5, max_m2=4)
@@ -195,8 +194,10 @@ class TestSelectOracle:
         scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, cfg)
         adaptive = select_adaptive_from_scan(scan)
         oracle = select_oracle_from_scan(scan, model, box)
-        errors = oracle_errors(scan, model, box)
-        assert sum(errors[oracle.chosen]) <= sum(errors[adaptive.chosen]) + 1e-15
+        total = sum(oracle_errors(scan, model, box))
+        oracle_err = total[oracle.chosen.m1 - 1, oracle.chosen.m2 - 1]
+        adaptive_err = total[adaptive.chosen.m1 - 1, adaptive.chosen.m2 - 1]
+        assert oracle_err <= adaptive_err + 1e-15
 
 
 # Tolerance of the QR oracle against node-by-node quadrature, fixed before
@@ -272,13 +273,12 @@ def test_oracle_errors_match_quadrature(case):
     if case.endswith("outside"):
         # the hard part of the case: the Y side sees only zero columns
         assert not eval_rows(psi, dims.m2, np.linspace(box.a_y, box.b_y, 101)).any()
-    expected = box_errors_by_quadrature(scan, model, box)
-    errors = oracle_errors(scan, model, box)
-    assert list(errors) == list(expected) == list(scan.fits)
-    got = np.array([errors[d] for d in scan.fits])
-    ref = np.array([expected[d] for d in scan.fits])
-    assert np.all(got >= 0.0)
-    np.testing.assert_allclose(got, ref, rtol=ORACLE_RTOL, atol=0.0)
+    admissible = scan.admissible
+    assert admissible.all()
+    for got, ref in zip(oracle_errors(scan, model, box), box_errors_by_quadrature(scan, model, box)):
+        assert got.shape == ref.shape == admissible.shape
+        assert np.all(got >= 0.0)
+        np.testing.assert_allclose(got, ref, rtol=ORACLE_RTOL, atol=0.0)
 
 
 def test_oracle_errors_agree_with_mse_box(bench_sample):
@@ -287,26 +287,59 @@ def test_oracle_errors_agree_with_mse_box(bench_sample):
     model = make_model(3)
     box = quantile_box(bench_sample)
     scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, small_config(max_m1=8, max_m2=8))
-    errors = oracle_errors(scan, model, box)
-    assert errors and all(e >= 0.0 for pair in errors.values() for e in pair)
+    err_a, err_b = oracle_errors(scan, model, box)
+    admissible = scan.admissible
+    assert admissible.any() and np.all(err_a[admissible] >= 0.0) and np.all(err_b[admissible] >= 0.0)
     oracle = select_oracle_from_scan(scan, model, box)
-    assert all(entry.gamma >= 0.0 for entry in oracle.criterion_table.values() if entry.admissible)
+    assert np.all(oracle.gamma[oracle.admissible] >= 0.0)
     for result in (select_adaptive_from_scan(scan), oracle):
+        i, j = result.chosen.m1 - 1, result.chosen.m2 - 1
         direct = mse_box(result.fit, model, box, HERMITE, HERMITE)
-        np.testing.assert_allclose(errors[result.chosen], direct, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose((err_a[i, j], err_b[i, j]), direct, rtol=1e-10, atol=0.0)
 
 
-def test_criterion_table_rows_layout(bench_sample):
-    result = select_adaptive(bench_sample, HERMITE, HERMITE, small_config(max_m1=2, max_m2=2))
-    rows = criterion_table_rows(result)
-    assert len(rows) == 4
-    assert rows[0][:2] == (1, 1)
-    for row in rows:
-        m1, m2, gamma, pen, admissible, criterion = row
-        if admissible:
-            assert criterion == pytest.approx(gamma + pen, rel=1e-15)
-        else:
-            assert math.isnan(criterion)
+@pytest.mark.parametrize("case", ["staircase", "all", "none"])
+def test_oracle_errors_nan_exactly_off_the_admissible_set(case):
+    rng = np.random.default_rng(7)
+    design = synthetic_design(rng, 6, 7, dependent=9 if case == "staircase" else None)
+    cutoff = 1e-30 if case == "none" else 1e14
+    config = SelectionConfig(stability=StabilityRule(cutoff=cutoff))
+    scan = scan_design(design, 400, HERMITE, HERMITE, config)
+    admissible = scan.admissible
+    assert {"staircase": 0 < admissible.sum() < admissible.size,
+            "all": admissible.all(), "none": not admissible.any()}[case]
+    for err in oracle_errors(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0)):
+        assert err.shape == admissible.shape
+        np.testing.assert_array_equal(np.isnan(err), ~admissible)
+
+
+def test_criterion_table_rows_layout(tmp_path, monkeypatch):
+    # The criterion table that ``cpls fit`` writes holds the selection's
+    # arrays, one row per pair of the rectangle, m1-major.
+    import cpls.cli as cli
+
+    results = []
+
+    def keep(scan):
+        results.append(select_adaptive_from_scan(scan))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "select_adaptive_from_scan", keep)
+    args = ["fit", "--model", "3", "--y", "B", "--n", "30", "--seed", "4", "--n-steps", "60",
+            "--dt", "0.05", "--drop", "3", "--max-m1", "3", "--max-m2", "4", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    (result,) = results
+    lines = (tmp_path / "fit_criterion_table.csv").read_text().splitlines()
+    assert lines[0] == "m1,m2,gamma,pen,admissible,criterion"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(m1, m2) for m1 in range(1, 4) for m2 in range(1, 5)]
+    assert [r[4] for r in rows] == [str(ok) for ok in result.admissible.ravel().tolist()]
+    table = np.array([[float(r[k]) for k in (2, 3, 5)] for r in rows]).T.reshape(3, 3, 4)
+    gamma, penalty, criterion = table
+    np.testing.assert_array_equal(gamma, result.gamma)
+    np.testing.assert_array_equal(penalty, result.penalty)
+    np.testing.assert_array_equal(criterion, result.gamma + result.penalty)
+    np.testing.assert_array_equal(np.isnan(criterion), ~result.admissible)
 
 
 def test_residual_maxima_collected(bench_sample):
@@ -365,9 +398,11 @@ def synthetic_design(rng, m1, m2, dependent=None, d_kind="hermite", noise=1e-9):
 def assert_scan_matches_reference(design, n_paths, config, phi=HERMITE, psi=HERMITE):
     scan = scan_design(design, n_paths, phi, psi, config)
     admissible, fits, max_res = scan_pairwise(design, n_paths, phi, psi, config)
-    assert set(scan.fits) == {d for d, ok in admissible.items() if ok}
+    assert {(i + 1, j + 1) for i, j in zip(*np.nonzero(scan.admissible))} == {
+        tuple(d) for d, ok in admissible.items() if ok
+    }
     for dims, (theta, lam, gamma) in fits.items():
-        fit = scan.fits[dims]
+        fit = scan.fit_at(*dims)
         scale = np.max(np.abs(theta))
         np.testing.assert_allclose(fit.theta, theta, rtol=0, atol=THETA_RTOL * scale)
         assert fit.gamma_value == pytest.approx(gamma, rel=THETA_RTOL, abs=1e-300)
@@ -427,7 +462,7 @@ def test_scan_matches_reference_near_singular(dims, seed, dependent, d_kind):
     config = SelectionConfig()
     scan = assert_scan_matches_reference(design, 1000, config)
     if 0 < dependent < m1 + m2:
-        assert DimPair(m1, m2) not in scan.fits
+        assert not scan.admissible[m1 - 1, m2 - 1]
 
 
 def test_frontier_walk_calls_the_event_at_most_m1_plus_m2_times(monkeypatch):
@@ -451,7 +486,7 @@ def test_frontier_walk_calls_the_event_at_most_m1_plus_m2_times(monkeypatch):
         else:
             assert calls[0] == DimPair(12, 15) and not scan.admissible.all()
             assert len(calls) <= 12 + 15
-        assert len(select_adaptive_from_scan(scan).criterion_table) == 12 * 15
+        assert select_adaptive_from_scan(scan).gamma.shape == (12, 15)
 
 
 def _bits(value) -> bytes:
@@ -460,8 +495,8 @@ def _bits(value) -> bytes:
 
 @pytest.mark.parametrize("dependent", [None, 9])
 def test_views_equal_the_arrays(dependent):
-    # With dependent = 9 the m1 = 6 row stops short of M2: the views must skip
-    # the pairs above the frontier.
+    # With dependent = 9 the m1 = 6 row stops short of M2: the table must
+    # mark the pairs above the frontier as not admissible.
     rng = np.random.default_rng(7)
     design = synthetic_design(rng, 6, 7, dependent=dependent)
     scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
@@ -469,16 +504,7 @@ def test_views_equal_the_arrays(dependent):
     rectangle = [DimPair(m1, m2) for m1 in range(1, big.m1 + 1) for m2 in range(1, big.m2 + 1)]
     admissible = scan.admissible
     np.testing.assert_array_equal(admissible.sum(axis=1), scan.frontier)
-    assert list(scan.fits) == [d for d in rectangle if admissible[d.m1 - 1, d.m2 - 1]]
     assert admissible.all() == (dependent is None)
-    for dims, fit in scan.fits.items():
-        i, j = dims.m1 - 1, dims.m2 - 1
-        row = scan.coef[i, j]
-        assert fit.dims == dims
-        assert _bits(fit.theta) == _bits(np.concatenate([row[: dims.m1], row[big.m1 : big.m1 + dims.m2]]))
-        assert not row[dims.m1 : big.m1].any() and not row[big.m1 + dims.m2 :].any()
-        assert _bits(fit.gamma_value) == _bits(scan.gamma[i, j])
-        assert _bits(fit.lambda_multiplier) == _bits(scan.lam[i, j])
 
     result = select_adaptive_from_scan(scan)
     table = result.criterion_table
@@ -491,8 +517,6 @@ def test_views_equal_the_arrays(dependent):
         assert _bits(entry.gamma) == _bits(scan.gamma[i, j] if entry.admissible else math.nan)
     with pytest.raises(TypeError):
         table[DimPair(1, 1)] = None
-    with pytest.raises(TypeError):
-        scan.fits[DimPair(1, 1)] = None
 
 
 def test_selection_result_does_not_keep_the_scan_arrays(bench_sample):
@@ -535,11 +559,12 @@ def test_factorization_failure_falls_back_pair_by_pair(monkeypatch):
     admissible, fits, _ = scan_pairwise(
         design, 100, HERMITE, HERMITE, SelectionConfig(), event=always
     )
-    assert all(admissible.values()) and set(scan.fits) == set(admissible)
+    assert all(admissible.values()) and scan.admissible.all()
     for dims, (theta, _, gamma) in fits.items():
+        fit = scan.fit_at(*dims)
         scale = np.max(np.abs(theta))
-        np.testing.assert_allclose(scan.fits[dims].theta, theta, rtol=0, atol=1e-10 * scale)
-        assert scan.fits[dims].gamma_value == pytest.approx(gamma, rel=1e-10)
+        np.testing.assert_allclose(fit.theta, theta, rtol=0, atol=1e-10 * scale)
+        assert fit.gamma_value == pytest.approx(gamma, rel=1e-10)
     assert max(scan.max_residuals.values()) < 1e-10
 
 
@@ -574,11 +599,10 @@ design = DesignSystem(DimPair(39, 39), v @ v.T / 4000, rng.standard_normal(78) /
 scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
 errors = oracle_errors(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0))
 h = hashlib.sha256()
-for dims, fit in scan.fits.items():
-    h.update(repr((tuple(dims), fit.gamma_value, fit.lambda_multiplier, errors[dims])).encode())
-    h.update(fit.theta.tobytes())
+for array in (scan.frontier, scan.gamma, scan.lam, scan.coef, *errors):
+    h.update(np.ascontiguousarray(array).tobytes())
 h.update(repr(sorted(scan.max_residuals.items())).encode())
-print(len(scan.fits), h.hexdigest())
+print(scan.admissible.sum(), h.hexdigest())
 """
 
 
