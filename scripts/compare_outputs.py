@@ -11,6 +11,12 @@ temporary directory):
 * ``cpls table1 --reps 2 --threads 2 --seed 7``
 * ``cpls experiment --model 2 --y A --n 400 --reps 4 --seed 3 --curves 2``
 * ``cpls fit --model 3 --y B --n 400 --seed 2 --dump-design``
+* ``cpls fit --model 3 --y B --n 400 --seed 2 --basis-phi laguerre
+  --basis-psi trig-noconst --stability theoretical --r 0.1 --dump-design``
+
+The last one runs what the protocol never does: the theoretical stability
+event, with the sup-norm bounds of both families, at every step of the
+staircase walk, the Laguerre rows and a zero constraint vector.
 
 Every CSV (the tables, the beams and the dumped design) and
 ``fit_meta.json`` must be byte-identical. The other meta JSON files must be
@@ -37,6 +43,9 @@ COMMANDS = {
     "experiment": ["experiment", "--model", "2", "--y", "A", "--n", "400", "--reps", "4",
                    "--seed", "3", "--curves", "2"],
     "fit": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2", "--dump-design"],
+    "fit-theoretical": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2",
+                        "--basis-phi", "laguerre", "--basis-psi", "trig-noconst",
+                        "--stability", "theoretical", "--r", "0.1", "--dump-design"],
 }
 
 #: Keys of a meta JSON that hold timings, not results.

@@ -135,11 +135,11 @@ def eval_rows(
 ) -> np.ndarray:
     """Evaluate the first ``m`` family members at every point of ``x``, member-major.
 
-    Returns an array of shape ``(m,) + x.shape`` whose entry ``[k, ...]`` is
-    member ``k + 1`` at ``x``; points outside the support give zeros, and
-    ``m = 0`` gives an empty leading axis. Every family fills its rows in
-    place, one member at a time, which is the cheap layout to fill and to
-    take ``V @ V.T`` products of.
+    ``m`` is a positive integer. Returns an array of shape
+    ``(m,) + x.shape`` whose entry ``[k, ...]`` is member ``k + 1`` at
+    ``x``; points outside the support give zeros. Every family fills its
+    rows in place, one member at a time, which is the cheap layout to fill
+    and to take ``V @ V.T`` products of.
 
     With ``out`` (shape ``(m,) + x.shape``, for instance a block of rows of
     a larger buffer), the values are written into it and ``out`` is
@@ -148,13 +148,11 @@ def eval_rows(
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("basis evaluation requires finite arguments")
-    m = 0 if m == 0 else _check_m(m)
+    m = _check_m(m)
     if out is None:
         out = np.empty((m,) + x.shape)
     elif out.shape != (m,) + x.shape:
         raise ValueError(f"out must have shape {(m,) + x.shape}, got {out.shape}")
-    if m == 0:
-        return out
     if family.kind is BasisKind.HERMITE:
         _hermite_rows(x, m, out)
     elif family.kind is BasisKind.LAGUERRE:

@@ -50,14 +50,18 @@ _PATH_BLOCK = 16  # fixed block size => fixed summation order
 
 @dataclass(frozen=True)
 class DimPair:
-    """Projection-space dimensions for the two drift components."""
+    """Projection-space dimensions (m1, m2) of the two drift components.
+
+    The pair indexes the product space S_m1 x S_m2, so both components have
+    at least one member.
+    """
 
     m1: int
     m2: int
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0 or self.m1 + self.m2 < 1:
-            raise ValueError(f"need m1, m2 >= 0 with m1 + m2 >= 1, got {self}")
+        if self.m1 < 1 or self.m2 < 1:
+            raise ValueError(f"need m1, m2 >= 1, got {self}")
 
     @property
     def total(self) -> int:
@@ -217,7 +221,7 @@ def build_prefix_designs(
     elif not (t_norm > 0):
         raise ValueError(f"t_norm must be positive, got {t_norm!r}")
     t_norm = float(t_norm)
-    dvec = np.concatenate([np.zeros(dims.m1), delta_vector(psi, dims.m2) if dims.m2 else np.zeros(0)])
+    dvec = np.concatenate([np.zeros(dims.m1), delta_vector(psi, dims.m2)])
     return [
         DesignSystem(dims=dims, gram=gram, zvec=zvec, dvec=dvec, t_norm=t_norm)
         for gram, zvec in _accumulate(sample, phi, psi, dims, t_norm, tuple(counts))

@@ -247,14 +247,15 @@ class StabilityRule:
 def stability_event(
     system: DesignSystem,
     n_paths: int,
-    rule: StabilityRule = StabilityRule(),
-    phi: BasisFamily | None = None,
-    psi: BasisFamily | None = None,
+    rule: StabilityRule,
+    phi: BasisFamily,
+    psi: BasisFamily,
 ) -> bool:
     """Whether the empirical design passes the conditioning event at ``rule``.
 
-    The theoretical mode needs the two basis families to evaluate their
-    sup-norm bounds. A singular Gram (infinite inverse norm) always fails.
+    The theoretical mode bounds the design by the sup-norm bounds of the
+    basis families ``phi`` and ``psi``; the practical mode does not read
+    them. A singular Gram (infinite inverse norm) always fails.
     """
     if n_paths < 2:
         raise ValueError("stability event requires n_paths >= 2")
@@ -264,13 +265,7 @@ def stability_event(
     budget = n_paths / math.log(n_paths)
     if rule.mode == "practical":
         return system.dims.total * op <= rule.cutoff * budget
-    if phi is None or psi is None:
-        raise ValueError("theoretical stability mode requires phi and psi")
-    lsum = 0.0
-    if system.dims.m1 > 0:
-        lsum += sup_norm_bound(phi, system.dims.m1)
-    if system.dims.m2 > 0:
-        lsum += sup_norm_bound(psi, system.dims.m2)
+    lsum = sup_norm_bound(phi, system.dims.m1) + sup_norm_bound(psi, system.dims.m2)
     return lsum * max(op, 1.0) <= rule.c_r * budget
 
 
@@ -278,26 +273,15 @@ def evaluate_fit(
     fit: FitResult,
     phi: BasisFamily,
     psi: BasisFamily,
-    x: np.ndarray | float,
-    y: np.ndarray | float,
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Evaluate the fitted drift pair (a_hat(x), b_hat(y)).
+    x: np.ndarray,
+    y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the fitted drift pair (a_hat(x), b_hat(y)) at the points of two arrays.
 
-    Accepts scalars or arrays; a truncated fit evaluates to zero everywhere.
+    Returns arrays of the shapes of ``x`` and ``y``; a truncated fit
+    evaluates to zero everywhere.
     """
-    m1, m2 = fit.dims.m1, fit.dims.m2
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if fit.truncated or m1 == 0:
-        a_hat = np.zeros(x_arr.shape)
-    else:
-        a_hat = eval_matrix(phi, m1, x_arr) @ fit.theta[:m1]
-    if fit.truncated or m2 == 0:
-        b_hat = np.zeros(y_arr.shape)
-    else:
-        b_hat = eval_matrix(psi, m2, y_arr) @ fit.theta[m1:]
-    if np.isscalar(x) or x_arr.ndim == 0:
-        a_hat = float(a_hat)
-    if np.isscalar(y) or y_arr.ndim == 0:
-        b_hat = float(b_hat)
-    return a_hat, b_hat
+    if fit.truncated:
+        return np.zeros(x.shape), np.zeros(y.shape)
+    m1, m2 = fit.dims
+    return eval_matrix(phi, m1, x) @ fit.theta[:m1], eval_matrix(psi, m2, y) @ fit.theta[m1:]

@@ -14,8 +14,11 @@ independent Brownian motion W2, via one of three mechanisms:
 
 Per-path randomness comes from child streams of ``numpy.random.SeedSequence``
 spawned from the master seed and the path index, so samples are reproducible
-regardless of how path generation is scheduled. Normal variates use numpy's
-PCG64 generator (ziggurat method).
+regardless of how path generation is scheduled. Each path takes one draw of
+normals from each of its two streams (:func:`_normals`): the Y stream gives
+the n increments of W2, or for the Ornstein-Uhlenbeck process its start and
+then its n steps; the X stream gives the n increments of W1. Normal variates
+use numpy's PCG64 generator (ziggurat method).
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ class GridSpec:
     drop_first: int = 20
 
     def __post_init__(self):
-        if self.n_steps < 1 or not (self.dt > 0):
-            raise ValueError("need n_steps >= 1 and dt > 0")
+        if self.n_steps < 1 or not (self.dt > 0 and math.isfinite(self.n_steps * self.dt)):
+            raise ValueError(f"need n_steps >= 1 and dt > 0 with a finite horizon n_steps * dt, got {self}")
         if not (0 <= self.drop_first < self.n_steps):
             raise ValueError("drop_first must lie in [0, n_steps)")
 
@@ -156,27 +159,29 @@ def _ou_coefficients(rate: float, gamma: float, dt: float) -> tuple[float, float
     return decay, step_sd, math.sqrt(stat_var)
 
 
+def _normals(seeds: Sequence[int], n: int) -> np.ndarray:
+    """The first ``n`` standard normals of each seed's stream, one row per seed."""
+    out = np.empty((len(seeds), n))
+    for i, s in enumerate(seeds):
+        out[i] = np.random.default_rng(s).standard_normal(n)
+    return out
+
+
 def _simulate_y_batch(spec: ExplanatorySpec, grid: GridSpec, seeds: Sequence[int]) -> np.ndarray:
     n = grid.n_steps
     n_paths = len(seeds)
     if spec.kind is YKind.ORNSTEIN_UHLENBECK:
-        out = np.empty((n_paths, n + 1))
         decay, step_sd, stat_sd = _ou_coefficients(spec.ou_rate, spec.ou_gamma, grid.dt)
-        u0 = np.empty(n_paths)
-        xi = np.empty((n_paths, n))
-        for i, s in enumerate(seeds):
-            rng = np.random.default_rng(s)
-            u0[i] = rng.standard_normal()
-            xi[i] = rng.standard_normal(n)
-        out[:, 0] = stat_sd * u0
-        xi *= step_sd
+        # Draw 0 is the stationary start, draws 1..n the steps; the path
+        # replaces its noise in place.
+        out = _normals(seeds, n + 1)
+        out[:, 0] *= stat_sd
+        out[:, 1:] *= step_sd
         for ell in range(n):
-            out[:, ell + 1] = decay * out[:, ell] + xi[:, ell]
+            out[:, ell + 1] += decay * out[:, ell]
         out *= spec.sigma_y
     else:
-        dw = np.empty((n_paths, n))
-        for i, s in enumerate(seeds):
-            dw[i] = np.random.default_rng(s).standard_normal(n)
+        dw = _normals(seeds, n)
         dw *= math.sqrt(grid.dt)
         if spec.kind is YKind.POLYNOMIAL_BM:
             w = np.zeros((n_paths, n + 1))
@@ -199,9 +204,7 @@ def _simulate_x_batch(
 ) -> np.ndarray:
     n = grid.n_steps
     n_paths = y.shape[0]
-    xi = np.empty((n_paths, n))
-    for i, s in enumerate(seeds):
-        xi[i] = np.random.default_rng(s).standard_normal(n)
+    xi = _normals(seeds, n)
     dt = grid.dt
     sqdt = math.sqrt(dt)
     x = np.empty((n_paths, n + 1))

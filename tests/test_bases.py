@@ -60,13 +60,18 @@ class TestEvalVector:
         assert np.all(bases.eval_matrix(TRIG_NO_CONST, 5, -0.1) == 0.0)
 
     def test_invalid_arguments(self):
-        # m = 0 is legal for eval_matrix (an empty trailing axis); m < 0 is not
         with pytest.raises(ValueError):
             bases.eval_matrix(TRIG, -1, 0.5)
         with pytest.raises(ValueError):
             bases.eval_matrix(HERMITE, 3, math.nan)
         with pytest.raises(ValueError):
             bases.eval_matrix(HERMITE, 3, math.inf)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_zero_members_rejected(self, family):
+        # Every projection space has at least one member.
+        with pytest.raises(ValueError):
+            bases.eval_matrix(family, 0, np.array([0.5]))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.name)
     def test_finite_up_to_k200(self, family):
@@ -94,6 +99,12 @@ class TestEvalRows:
     @pytest.mark.parametrize("points", POINTS, ids=str)
     def test_rows_are_eval_matrix_transposed(self, family, m, points):
         x = self.POINTS[points]
+        if m == 0:
+            # Every projection space has at least one member.
+            for out in (None, np.empty((0,) + x.shape)):
+                with pytest.raises(ValueError):
+                    bases.eval_rows(family, m, x, out=out)
+            return
         expected = np.moveaxis(bases.eval_matrix(family, m, x), -1, 0).tobytes()
         rows = bases.eval_rows(family, m, x)
         assert rows.shape == (m,) + x.shape and rows.flags.c_contiguous

@@ -267,6 +267,8 @@ class TestConfigHandling:
         (["experiment", "--sigma-y", "inf"], "sigma_y must be finite and positive, got inf"),
         (["experiment", "--sigma-y", "-1"], "sigma_y must be finite and positive, got -1.0"),
         (["experiment", "--x0", "inf"], "x0 must be finite, got inf"),
+        (["experiment", "--dt", "inf"], "need n_steps >= 1 and dt > 0 with a finite horizon n_steps * dt, "
+                                        "got GridSpec(n_steps=60, dt=inf, drop_first=3)"),
     ]
 
     @pytest.mark.parametrize("args, message", _INVALID_SETTINGS,
@@ -279,7 +281,8 @@ class TestConfigHandling:
             raise AssertionError("a repetition ran")
 
         monkeypatch.setattr(expmod, "_run_rep", no_repetition)
-        code = run_cli([*args, "--out", str(tmp_path), *FAST])
+        # The probe's flags come last, so they override the fast settings.
+        code = run_cli([args[0], "--out", str(tmp_path), *FAST, *args[1:]])
         assert code == 1
         assert capsys.readouterr().err == f"error [ValueError]: {message}\n"
         assert not list(tmp_path.glob("*.csv"))

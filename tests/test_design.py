@@ -23,12 +23,10 @@ FAMILIES = [HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST]
 class TestDimPair:
     def test_validation(self):
         assert DimPair(2, 3).total == 5
-        DimPair(1, 0)
-        DimPair(0, 1)
-        with pytest.raises(ValueError):
-            DimPair(0, 0)
-        with pytest.raises(ValueError):
-            DimPair(-1, 2)
+        assert DimPair(1, 1).total == 2
+        for m1, m2 in [(1, 0), (0, 1), (0, 0), (-1, 2)]:
+            with pytest.raises(ValueError):
+                DimPair(m1, m2)
 
     def test_exceeding_paths_rejected(self, small_sample):
         with pytest.raises(ValueError):
@@ -37,14 +35,16 @@ class TestDimPair:
 
 class TestAssembleGram:
     def test_constant_path_laguerre(self):
-        # X constant at c: the integrand l_0(X)^2 is constant in time, so the
-        # gram is exactly [2 e^{-2c}] (window normalizer T - t0 cancels).
+        # X constant at c and Y at 0: the integrands l_0(X)^2, l_0(X) * 1 and
+        # 1 are constant in time, so the gram is exactly
+        # [[2 e^{-2c}, sqrt(2) e^{-c}], [sqrt(2) e^{-c}, 1]] (window
+        # normalizer T - t0 cancels).
         c = 0.7
         grid = GridSpec(n_steps=6, dt=0.25, drop_first=0)
         sample = make_sample(grid, np.full((2, 7), c), np.zeros((2, 7)))
-        gram = build_design(sample, LAGUERRE, TRIG, DimPair(1, 0)).gram
-        assert gram.shape == (1, 1)
-        assert gram[0, 0] == pytest.approx(2.0 * math.exp(-2 * c), rel=1e-12)
+        gram = build_design(sample, LAGUERRE, TRIG, DimPair(1, 1)).gram
+        cross = math.sqrt(2.0) * math.exp(-c)
+        np.testing.assert_allclose(gram, [[2.0 * math.exp(-2 * c), cross], [cross, 1.0]], rtol=1e-12)
 
     def test_hand_computed_two_step_grid(self):
         # 2 paths, 3 grid points, drop_first = 0: left-point sums by hand
@@ -103,10 +103,13 @@ class TestAssembleZ:
         x = np.array([[0.2, 0.7, 0.4]])
         y = np.array([[0.5, 0.1, 0.9]])
         sample = make_sample(grid, x, y)
-        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(1, 0)).zvec
+        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(1, 1)).zvec
         t_norm = 1.0
-        expected = (1.0 * (0.7 - 0.2) + 1.0 * (0.4 - 0.7)) / t_norm
-        assert z[0] == pytest.approx(expected, abs=1e-14)
+        expected_x = (1.0 * (0.7 - 0.2) + 1.0 * (0.4 - 0.7)) / t_norm
+        psi_1 = [math.sqrt(2.0) * math.cos(2 * math.pi * y_l) for y_l in (0.5, 0.1)]
+        expected_y = (psi_1[0] * (0.7 - 0.2) + psi_1[1] * (0.4 - 0.7)) / t_norm
+        assert z[0] == pytest.approx(expected_x, abs=1e-14)
+        assert z[1] == pytest.approx(expected_y, abs=1e-14)
 
     def test_linear_in_increments(self, toy_grid):
         # bumping only the final observation changes only the last increment,
@@ -162,8 +165,8 @@ class TestAssembleZ:
     n_paths=st.integers(1, 3 * design._PATH_BLOCK + 5),
     n_window=st.integers(1, 6),
     drop=st.integers(0, 2),
-    m1=st.integers(0, 6),
-    m2=st.integers(0, 6),
+    m1=st.integers(1, 6),
+    m2=st.integers(1, 6),
     phi=st.sampled_from(FAMILIES),
     psi=st.sampled_from(FAMILIES),
     seed=st.integers(0, 2**32 - 1),
@@ -171,10 +174,8 @@ class TestAssembleZ:
 def test_block_assembly_matches_pointwise_reference(n_paths, n_window, drop, m1, m2, phi, psi, seed):
     # Path counts below, at and between multiples of the block size; values
     # on both sides of every support's edges, so each family's zero
-    # convention shows; either component may be absent.
+    # convention shows.
     m1, m2 = min(m1, n_paths), min(m2, n_paths)
-    if m1 + m2 == 0:
-        m1 = 1
     grid = GridSpec(n_steps=drop + n_window, dt=0.05, drop_first=drop)
     rng = np.random.default_rng(seed)
     shape = (n_paths, grid.n_steps + 1)
@@ -204,8 +205,8 @@ _COUNT = st.one_of(
     extra=st.integers(0, design._PATH_BLOCK + 3),
     n_window=st.integers(1, 6),
     drop=st.integers(0, 2),
-    m1=st.integers(0, 5),
-    m2=st.integers(0, 5),
+    m1=st.integers(1, 5),
+    m2=st.integers(1, 5),
     phi=st.sampled_from(FAMILIES),
     psi=st.sampled_from(FAMILIES),
     seed=st.integers(0, 2**32 - 1),
@@ -215,8 +216,6 @@ def test_prefix_designs_equal_designs_of_prefix_samples(counts, extra, n_window,
     # boundary or inside a block, gives bitwise the design of the sample's
     # first n paths; paths after the last count are never read.
     m1, m2 = min(m1, counts[0]), min(m2, counts[0])
-    if m1 + m2 == 0:
-        m1 = 1
     grid = GridSpec(n_steps=drop + n_window, dt=0.05, drop_first=drop)
     rng = np.random.default_rng(seed)
     shape = (counts[-1] + extra, grid.n_steps + 1)

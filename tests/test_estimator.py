@@ -129,11 +129,12 @@ class TestOracleEquivalence:
 class TestStabilityEvent:
     def test_identity_gram_practical(self):
         sys = make_system(np.eye(2), np.zeros(2), np.zeros(2), DimPair(1, 1))
-        assert stability_event(sys, 400, StabilityRule(mode="practical"))
+        assert stability_event(sys, 400, StabilityRule(mode="practical"), TRIG, TRIG_NO_CONST)
 
     def test_singular_gram_fails(self):
         sys = make_system(np.zeros((2, 2)), np.zeros(2), np.zeros(2), DimPair(1, 1))
-        assert not stability_event(sys, 400, StabilityRule(mode="practical"))
+        for mode in StabilityRule.MODES:
+            assert not stability_event(sys, 400, StabilityRule(mode=mode), TRIG, TRIG_NO_CONST)
 
     def test_theoretical_hand_check(self):
         # 2x2 diag(2, 0.5): |G^{-1}|_op = 2; trig sup bounds give L = 2 + 2;
@@ -146,22 +147,19 @@ class TestStabilityEvent:
         assert stability_event(sys, n_hi, rule, TRIG, TRIG_NO_CONST)
         assert not stability_event(sys, n_lo, rule, TRIG, TRIG_NO_CONST)
 
-    def test_theoretical_requires_families(self):
-        sys = make_system(np.eye(2), np.zeros(2), np.zeros(2), DimPair(1, 1))
-        with pytest.raises(ValueError):
-            stability_event(sys, 100, StabilityRule(mode="theoretical"))
-
 
 class TestEvaluateFit:
     def test_zero_theta(self):
         fit = FitResult(dims=DimPair(2, 2), theta=np.zeros(4))
-        a, b = evaluate_fit(fit, TRIG, TRIG_NO_CONST, 0.3, 0.7)
-        assert a == 0.0 and b == 0.0
+        a, b = evaluate_fit(fit, TRIG, TRIG_NO_CONST, np.array([0.3]), np.array([0.7, 0.2]))
+        np.testing.assert_array_equal(a, [0.0])
+        np.testing.assert_array_equal(b, [0.0, 0.0])
 
     def test_truncated_returns_zero(self):
         fit = FitResult(dims=DimPair(1, 1), theta=np.array([5.0, 3.0]), truncated=True)
-        a, b = evaluate_fit(fit, TRIG, TRIG_NO_CONST, 0.3, 0.7)
-        assert a == 0.0 and b == 0.0
+        a, b = evaluate_fit(fit, TRIG, TRIG_NO_CONST, np.array([0.3]), np.array([0.7, 0.2]))
+        np.testing.assert_array_equal(a, [0.0])
+        np.testing.assert_array_equal(b, [0.0, 0.0])
 
     def test_constant_expansion(self):
         fit = FitResult(dims=DimPair(1, 1), theta=np.array([2.5, 0.0]))

@@ -29,6 +29,10 @@ class TestSpecs:
             GridSpec(n_steps=10, dt=0.02, drop_first=10)
         with pytest.raises(ValueError):
             GridSpec(n_steps=0, dt=0.02)
+        # an infinite or NaN step, and a finite step whose horizon overflows
+        for dt in (math.inf, math.nan, 1e308):
+            with pytest.raises(ValueError):
+                GridSpec(n_steps=10, dt=dt, drop_first=0)
 
     def test_model_probe_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -186,15 +190,20 @@ class TestGenerateSample:
         assert grid.total_time == pytest.approx(10.0)
 
     def test_rows_match_per_path_simulation(self):
+        # Bitwise, on every benchmark (model, Y) pair: a path does not depend
+        # on the others simulated with it, which the prefix sharing of the
+        # experiment cells relies on.
         grid = GridSpec(n_steps=60, dt=0.05, drop_first=3)
-        model = sim.make_model(1)
-        spec = sim.explanatory_by_name("B")
-        s = sim.generate_sample(model, spec, grid, 5, seed=77)
-        for i, (sy, sx) in enumerate(sim.path_seeds(77, 5)):
-            y_i = sim._simulate_y_batch(spec, grid, [sy])[0]
-            x_i = sim._simulate_x_batch(model, y_i[None, :], grid, [sx])[0]
-            np.testing.assert_allclose(s.y[i], y_i, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(s.x[i], x_i, rtol=1e-12, atol=1e-12)
+        for model_id in sim.DRIFT_PAIRS:
+            for y_type in sim.Y_TYPES:
+                model = sim.make_model(model_id)
+                spec = sim.explanatory_by_name(y_type)
+                s = sim.generate_sample(model, spec, grid, 5, seed=77)
+                for i, (sy, sx) in enumerate(sim.path_seeds(77, 5)):
+                    y_i = sim._simulate_y_batch(spec, grid, [sy])[0]
+                    x_i = sim._simulate_x_batch(model, y_i[None, :], grid, [sx])[0]
+                    np.testing.assert_array_equal(s.y[i], y_i)
+                    np.testing.assert_array_equal(s.x[i], x_i)
 
     def test_sample_is_immutable(self):
         grid = GridSpec(n_steps=10, dt=0.1, drop_first=0)
