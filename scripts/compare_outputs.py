@@ -18,20 +18,25 @@ The last one runs what the protocol never does: the theoretical stability
 event, with the sup-norm bounds of both families, at every step of the
 staircase walk, the Laguerre rows and a zero constraint vector.
 
-Every CSV (the tables, the beams and the dumped design) and
-``fit_meta.json`` must be byte-identical. The other meta JSON files must be
-equal apart from ``wall_s``, the one timing they hold. The script prints
-one line per file and exits with status 1 if any file differs or is written
-by one checkout only. It checks a change that claims to keep every output
-byte; it is not a test, because a change may instead state a tolerance.
-Given one checkout twice (``python scripts/compare_outputs.py . .``), it
-checks that reruns write the same bytes, as CI does.
+Every CSV (the tables, the beams and the dumped design) must be
+byte-identical, and every meta JSON file equal apart from ``wall_s``, the
+one timing they hold. The script prints one line per file and exits with
+status 1 if any file differs or is written by one checkout only. For a file
+that differs it also prints the largest relative difference over its float
+cells (JSON values), and every other differing cell (value): a dimension,
+``failed`` or ``truncated`` cell, a NaN against a number, or a key that one
+side lacks. So a change that states a tolerance instead of keeping every
+byte reads that tolerance off this script. Given one checkout twice
+(``python scripts/compare_outputs.py . .``), it checks that reruns write
+the same bytes, as CI does.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +55,8 @@ COMMANDS = {
 
 #: Keys of a meta JSON that hold timings, not results.
 TIMING_KEYS = ("wall_s",)
+#: The value of a key that one meta JSON lacks.
+ABSENT = "<absent>"
 
 
 def run(checkout: Path, args: list[str], out: Path) -> None:
@@ -61,22 +68,75 @@ def run(checkout: Path, args: list[str], out: Path) -> None:
                    env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def _is_integer(value) -> bool:
+    if isinstance(value, str):
+        try:
+            int(value)
+            return True
+        except ValueError:
+            return False
+    return isinstance(value, int)
+
+
+def _float(value) -> float | None:
+    """The value as a finite float, or None for a bool, a NaN or a non-number."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        return None
+    return float(value)
+
+
+def _differences(pairs) -> str:
+    """How the differing ``(where, x, y)`` pairs differ: the largest relative
+    difference over those that are both finite floats, and the others."""
+    worst, where_worst, others = 0.0, None, []
+    for where, x, y in pairs:
+        fx, fy = _float(x), _float(y)
+        if fx is None or fy is None or (_is_integer(x) and _is_integer(y)):
+            others.append(f"\n    {where}: {x!r} != {y!r}")
+            continue
+        scale = max(abs(fx), abs(fy))
+        rel = abs(fx - fy) / scale if scale else 0.0
+        if rel > worst or where_worst is None:
+            worst, where_worst = rel, where
+    how = f"{len(pairs)} value(s) differ"
+    if where_worst is not None:
+        how += f"; float values by at most {worst:.2g} relative ({where_worst})"
+    if others:
+        how += f"; {len(others)} other(s):" + "".join(others)
+    return how
+
+
 def compare(a: Path, b: Path) -> tuple[bool, str]:
     """Whether the two files agree, and how."""
-    if a.suffix == ".json" and a.name != "fit_meta.json":
+    if a.suffix == ".json":
         meta_a, meta_b = (json.loads(p.read_text()) for p in (a, b))
         for meta in (meta_a, meta_b):
             for key in TIMING_KEYS:
                 meta.pop(key, None)
-        keys = sorted(k for k in meta_a.keys() | meta_b.keys() if meta_a.get(k) != meta_b.get(k))
-        return (False, f"keys {keys} differ") if keys else (True, f"equal apart from {', '.join(TIMING_KEYS)}")
+        pairs = [(key, meta_a.get(key, ABSENT), meta_b.get(key, ABSENT))
+                 for key in sorted(meta_a.keys() | meta_b.keys())]
+        pairs = [pair for pair in pairs if pair[1] != pair[2]]
+        if not pairs:
+            return True, f"equal apart from {', '.join(TIMING_KEYS)}"
+        return False, _differences(pairs)
     if a.read_bytes() == b.read_bytes():
         return True, "byte-identical"
-    lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
-    for n, (x, y) in enumerate(zip(lines_a, lines_b), 1):
-        if x != y:
-            return False, f"line {n}: {x!r} != {y!r}"
-    return False, f"{len(lines_a)} lines against {len(lines_b)}"
+    rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return False, f"{len(rows_a)} rows against {len(rows_b)}, or rows of other lengths"
+    header = rows_a[0] if all(_float(c) is None for c in rows_a[0]) and rows_a[0] == rows_b[0] else None
+    pairs = [
+        (f"line {n}, {header[j] if header else f'column {j + 1}'}", x, y)
+        for n, (row_a, row_b) in enumerate(zip(rows_a, rows_b), 1)
+        for j, (x, y) in enumerate(zip(row_a, row_b))
+        if x != y
+    ]
+    return False, _differences(pairs)
 
 
 def main() -> int:

@@ -28,7 +28,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bases import BasisKind, family_by_name, orthonormality_residual
@@ -46,6 +45,7 @@ from .experiments import (
 )
 from .selection import (
     SelectionConfig,
+    scan_bounds,
     scan_dimension_grid,
     select_adaptive_from_scan,
 )
@@ -192,7 +192,6 @@ def _write_meta(path: Path, settings: dict, extra: dict) -> None:
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         # As this process saw them; None means unset (the BLAS default).
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         # A serial design pass uses a second thread, so the cores matter too.
@@ -312,6 +311,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     model = make_model(settings["model"], sigma=settings["sigma"], x0=settings["x0"])
     spec = explanatory_by_name(settings["y"], sigma_y=settings["sigma_y"])
+    scan_bounds(config.selection, settings["n"])  # rejects N < 2 before the simulation
     sample = generate_sample(model, spec, config.grid, settings["n"], settings["seed"])
     scan = scan_dimension_grid(sample, config.phi, config.psi, config.selection)
     result = select_adaptive_from_scan(scan)

@@ -10,10 +10,13 @@ closed form
 with multiplier ``lambda = -2 (d' G^{-1} z) / (d' G^{-1} d)``. When d = 0 the
 constraint is vacuous and theta = G^{-1} z. Solves use a Cholesky
 factorization with one step of iterative refinement, falling back to a
-symmetric indefinite solve when the Gram is nearly singular. Because the
-Cholesky factor of a leading block of G is the leading block of G's factor,
+pivoted LU solve when the Gram is nearly singular. Because the Cholesky
+factor of a leading block of G is the leading block of G's factor, and its
+inverse the leading block of the factor's inverse,
 :func:`fit_leading_blocks` solves every leading block of one system from a
-single factorization.
+single factorization and a single inverse of the factor. numpy has no
+triangular solve, so the solves are products with that inverse; the module
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .bases import BasisFamily, eval_matrix, sup_norm_bound
 from .design import DesignSystem, DimPair, inv_opnorm
@@ -60,22 +61,27 @@ def _cholesky_solver(gram: np.ndarray, mask: np.ndarray):
     Column j of a right-hand side belongs to the leading block whose size is
     the number of True entries of ``mask[:, j]`` (a leading run). The
     Cholesky factor of a leading block is the leading block of the factor,
-    so one factorization serves every column; the forward-solve result is
-    cut to the column's size before the back-solve, which then returns the
-    block's solution padded with zeros.
+    and so is the factor's inverse, so one factorization and one inverse
+    serve every column: each triangular solve is a product with that
+    inverse, its result cut to the column's block, which leaves the block's
+    solution padded with exact zeros.
     """
-    chol, info = scipy.linalg.lapack.dpotrf(gram, lower=1)
-    if info != 0:
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
         return None
-    # LAPACK's triangular solve, called directly, as scipy's solve_triangular
-    # only wraps this call in checks: the factor's diagonal is positive, so
-    # the solve cannot fail.
-    trtrs = scipy.linalg.lapack.dtrtrs
+    # The inverse of the factor, by inverting its transpose: an LU with
+    # partial pivoting of an upper triangular matrix swaps no rows, so this
+    # is a back substitution per column, and entry (i, j) of the result
+    # depends on the leading (j + 1) x (j + 1) block alone.
+    inv = np.linalg.inv(chol.T).T
 
     def solve_once(rhs: np.ndarray) -> np.ndarray:
-        y, _ = trtrs(chol, rhs, lower=1)
+        y = inv @ rhs
         y[~mask] = 0.0
-        return trtrs(chol, y, lower=1, trans=1)[0]
+        sol = inv.T @ y
+        sol[~mask] = 0.0
+        return sol
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         sol = solve_once(rhs)
@@ -86,11 +92,11 @@ def _cholesky_solver(gram: np.ndarray, mask: np.ndarray):
 
 
 def _indefinite_solver(gram: np.ndarray):
-    """Refine-once pivoted symmetric indefinite solver, for a marginal Gram."""
+    """Refine-once LU solver with partial pivoting, for a marginal Gram."""
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        sol = scipy.linalg.solve(gram, rhs, assume_a="sym", check_finite=False)
-        sol += scipy.linalg.solve(gram, rhs - gram @ sol, assume_a="sym", check_finite=False)
+        sol = np.linalg.solve(gram, rhs)
+        sol += np.linalg.solve(gram, rhs - gram @ sol)
         return sol
 
     return solve
@@ -132,8 +138,9 @@ def fit_leading_blocks(system: DesignSystem, sizes):
     ``(size, len(sizes))``) holds the minimizer on the leading block of size
     ``sizes[j]``, padded with zeros, and ``lam[j]``, ``gamma[j]`` its
     multiplier and contrast. One Cholesky factorization of the whole Gram
-    serves every block, and all solves run as two batched triangular solves
-    plus one refinement step. Returns None when that factorization fails.
+    serves every block, and all solves run as two batched products with the
+    factor's inverse plus one refinement step. Returns None when that
+    factorization fails.
     """
     mask, z, d = _leading_blocks(system, sizes)
     solve = _cholesky_solver(system.gram, np.concatenate([mask, mask], axis=1))
@@ -156,7 +163,7 @@ def solve_constrained(system: DesignSystem, check_singular: bool = True) -> FitR
         )
     solved = fit_leading_blocks(system, [system.size])
     if solved is None:
-        # Marginal smallest eigenvalue: pivoted symmetric indefinite solve.
+        # Marginal smallest eigenvalue: refined LU solve with partial pivoting.
         solved = _minimizers(
             system.gram,
             system.zvec[:, None],

@@ -355,10 +355,8 @@ def run_cells(
         # A bad cell or setting is the caller's error, not a failed repetition.
         make_model(model_id, sigma=config.sigma, x0=config.x0)
         explanatory_by_name(y_type, sigma_y=config.sigma_y)
-        if n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     groups: dict[tuple, set[int]] = {}
-    for model_id, y_type, n_paths in cells:
+    for model_id, y_type, n_paths in cells:  # scan_bounds rejects N < 2
         key = (model_id, y_type, scan_bounds(config.selection, n_paths))
         groups.setdefault(key, set()).add(n_paths)
     tasks = [

@@ -21,7 +21,8 @@ of one system.
   corner's outcome, so the scan never makes more than max_m1 + max_m2
   events.
 * Every admissible pair of one m1 is fitted from one Cholesky factor of the
-  system up to the frontier (:func:`cpls.estimator.fit_leading_blocks`).
+  system up to the frontier, and that factor's inverse
+  (:func:`cpls.estimator.fit_leading_blocks`).
 * The scan is stored as arrays, not as one object per pair: the frontier
   (the largest admissible m2 of each m1), the contrast and multiplier of
   each pair as M1 x M2 tables, and every fit's coefficients in one array
@@ -289,7 +290,13 @@ def scan_design(
 
 
 def scan_bounds(config: SelectionConfig, n_paths: int) -> DimPair:
-    """The scan rectangle for ``n_paths`` paths: each bound capped at the number of paths."""
+    """The scan rectangle for ``n_paths`` paths: each bound capped at the number of paths.
+
+    Raises ValueError for fewer than two paths, where the stability event's
+    budget ``N / log N`` is undefined.
+    """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     return DimPair(min(config.max_m1, n_paths), min(config.max_m2, n_paths))
 
 

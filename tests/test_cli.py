@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,19 @@ def test_benchmark_defaults_pinned():
     assert DEFAULTS["cutoff"] == 1e14
     assert DEFAULTS["basis_phi"] == DEFAULTS["basis_psi"] == "hermite"
     assert DEFAULTS["max_m1"] == DEFAULTS["max_m2"] == 39
+
+
+def test_runtime_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy comes with the test extra
+    # only. A fresh interpreter, since this one has loaded scipy for the tests.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = "import sys, cpls, cpls.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
 
 FAST = [
     "--n-steps", "60", "--dt", "0.05", "--drop", "3",
@@ -70,7 +86,6 @@ class TestExperimentCommand:
 
     def test_meta_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
         import platform
-        import scipy
 
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -82,7 +97,7 @@ class TestExperimentCommand:
         meta = json.loads((tmp_path / "experiment_meta.json").read_text())
         assert meta["python"] == platform.python_version()
         assert meta["numpy"] == np.__version__
-        assert meta["scipy"] == scipy.__version__
+        assert "scipy" not in meta  # not a runtime dependency
         assert meta["blas_threads"]["OPENBLAS_NUM_THREADS"] == "3"
         assert meta["blas_threads"]["MKL_NUM_THREADS"] is None
         assert set(meta["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
@@ -170,7 +185,7 @@ class TestTable1Command:
         assert code == 0
         meta = json.loads((tmp_path / "table1_meta.json").read_text())
         assert meta["failures"] == {"1B-400": {"ValueError": 1}, "1B-1000": {"ValueError": 1}}
-        assert {"python", "numpy", "scipy", "blas_threads"} <= set(meta)
+        assert {"python", "numpy", "blas_threads"} <= set(meta)
         assert meta["cpus"] == len(os.sched_getaffinity(0))
         assert meta["workers"] == 1 and meta["wall_s"] > 0
         assert meta["rep_seeds"] == [rep_seed(1, 0)]
@@ -256,7 +271,7 @@ class TestConfigHandling:
             "--seed", "1", "--out", str(tmp_path), *FAST,
         ])
         assert code == 1
-        assert capsys.readouterr().err == "error [ValueError]: n_paths must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error [ValueError]: n_paths must be >= 2, got 0\n"
 
     _INVALID_SETTINGS = [
         (["fit", "--cutoff", "nan"], "cutoff must be finite and positive, got nan"),
@@ -269,18 +284,26 @@ class TestConfigHandling:
         (["experiment", "--x0", "inf"], "x0 must be finite, got inf"),
         (["experiment", "--dt", "inf"], "need n_steps >= 1 and dt > 0 with a finite horizon n_steps * dt, "
                                         "got GridSpec(n_steps=60, dt=inf, drop_first=3)"),
+        # The stability event's budget N / log N needs two paths.
+        (["experiment", "--n", "1"], "n_paths must be >= 2, got 1"),
+        (["fit", "--n", "1"], "n_paths must be >= 2, got 1"),
     ]
 
     @pytest.mark.parametrize("args, message", _INVALID_SETTINGS,
                              ids=[" ".join(args) for args, _ in _INVALID_SETTINGS])
     def test_invalid_settings_fail_before_any_repetition(self, tmp_path, capsys, monkeypatch,
                                                         args, message):
+        import cpls.cli as climod
         import cpls.experiments as expmod
 
         def no_repetition(task):
             raise AssertionError("a repetition ran")
 
+        def no_sample(*args):
+            raise AssertionError("a sample was simulated")
+
         monkeypatch.setattr(expmod, "_run_rep", no_repetition)
+        monkeypatch.setattr(climod, "generate_sample", no_sample)
         # The probe's flags come last, so they override the fast settings.
         code = run_cli([args[0], "--out", str(tmp_path), *FAST, *args[1:]])
         assert code == 1

@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, sup_norm_bound
-from cpls.design import DesignSystem, DimPair
-from cpls.estimator import FitResult, StabilityRule, fit_leading_blocks, stability_event
-from cpls.experiments import QuantileBox, mse_box, quantile_box
+from cpls.design import DesignSystem, DimPair, build_design
+from cpls.estimator import (
+    FitResult,
+    StabilityRule,
+    fit_leading_blocks,
+    leading_block_residuals,
+    stability_event,
+)
+from cpls.experiments import QuantileBox, mse_box, quantile_box, rep_seed
 from cpls.quadrature import simpson_grid
 from cpls.selection import (
     SelectionConfig,
@@ -542,7 +548,7 @@ def test_factorization_failure_falls_back_pair_by_pair(monkeypatch):
     # factorization of each m1's system fails. The stability event is
     # replaced by one that passes everything, so that those pairs reach the
     # solver: the pairs without the last member take their own Cholesky
-    # solve, those with it the symmetric indefinite solve.
+    # solve, those with it the pivoted LU solve.
     import cpls.selection as selection
 
     rng = np.random.default_rng(3)
@@ -583,6 +589,27 @@ def test_sup_norm_bound_never_decreases(family):
     assert all(b <= c for b, c in zip(bounds, bounds[1:]))
 
 
+def mc_corner_design():
+    """The 39 x 39 design of one ``mc-2A-400`` repetition: model 2, Y (A), N = 400, default grid."""
+    sample = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), 400, seed=rep_seed(1, 0))
+    return build_design(sample, HERMITE, HERMITE, DimPair(39, 39), sample.grid.total_time)
+
+
+def test_leading_blocks_of_the_mc_corner_design():
+    # Every leading block of the 78 x 78 corner system, from one factor and
+    # its inverse: the padding stays exactly zero and each fit meets its
+    # KKT identity, on a Gram whose larger blocks are near singular.
+    design = mc_corner_design()
+    sizes = np.arange(1, design.size + 1)
+    theta, lam, gamma = fit_leading_blocks(design, sizes)
+    below = np.arange(design.size)[:, None] >= sizes[None, :]
+    assert np.all(theta[below] == 0.0)
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(gamma))
+    residuals = leading_block_residuals(design, theta, lam, sizes)
+    assert residuals["kkt"].max() <= 1e-8
+    assert residuals["constraint"].max() <= 1e-8
+
+
 _THREAD_CHILD = """
 import hashlib, sys
 import numpy as np
@@ -591,35 +618,39 @@ from cpls.design import DesignSystem, DimPair
 from cpls.experiments import QuantileBox
 from cpls.selection import SelectionConfig, oracle_errors, scan_design
 from cpls.simulate import make_model
+from test_selection import mc_corner_design
 
 rng = np.random.default_rng(11)
 v = rng.standard_normal((78, 4000))
-design = DesignSystem(DimPair(39, 39), v @ v.T / 4000, rng.standard_normal(78) / 10,
-                      np.concatenate([np.zeros(39), rng.standard_normal(39)]), 1.0)
-scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
-errors = oracle_errors(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0))
-h = hashlib.sha256()
-for array in (scan.frontier, scan.gamma, scan.lam, scan.coef, *errors):
-    h.update(np.ascontiguousarray(array).tobytes())
-h.update(repr(sorted(scan.max_residuals.items())).encode())
-print(scan.admissible.sum(), h.hexdigest())
+synthetic = DesignSystem(DimPair(39, 39), v @ v.T / 4000, rng.standard_normal(78) / 10,
+                         np.concatenate([np.zeros(39), rng.standard_normal(39)]), 1.0)
+for design in (synthetic, mc_corner_design()):
+    scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
+    errors = oracle_errors(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0))
+    h = hashlib.sha256()
+    for array in (scan.frontier, scan.gamma, scan.lam, scan.coef, *errors):
+        h.update(np.ascontiguousarray(array).tobytes())
+    h.update(repr(sorted(scan.max_residuals.items())).encode())
+    print(scan.admissible.sum(), h.hexdigest())
 """
 
 
 def test_scan_independent_of_blas_threads():
-    # The batched products G @ X and the triangular solves run through the
-    # BLAS, which splits them over its threads; a thread count is read when
-    # a process loads the BLAS, hence one child process per count.
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # The factor's inverse and the batched products with it and with G run
+    # through the BLAS, which splits them over its threads; a thread count
+    # is read when a process loads the BLAS, hence one child process per
+    # count. The scans are of a synthetic design and of a simulated one.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ)
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env["PYTHONPATH"] = path + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
         proc = subprocess.run([sys.executable, "-c", _THREAD_CHILD], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.split())
-    assert outputs[0][0] == str(39 * 39)
+    assert outputs[0][::2] == [str(39 * 39)] * 2
     assert outputs[0] == outputs[1]
