@@ -111,6 +111,9 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    # Every command writes a CSV first, so a run that fails its checks
+    # leaves no output directory behind.
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -181,10 +184,7 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("CPLS_OUTPUT_DIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(getattr(args, "out", None) or os.environ.get("CPLS_OUTPUT_DIR") or ".")
 
 
 def _write_meta(path: Path, settings: dict, extra: dict) -> None:
@@ -195,7 +195,8 @@ def _write_meta(path: Path, settings: dict, extra: dict) -> None:
         # As this process saw them; None means unset (the BLAS default).
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         # A serial design pass uses a second thread, so the cores matter too.
-        "cpus": len(os.sched_getaffinity(0)),
+        # macOS has no sched_getaffinity.
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "settings": settings,
     }
     meta.update(extra)

@@ -9,14 +9,33 @@ closed form
 
 with multiplier ``lambda = -2 (d' G^{-1} z) / (d' G^{-1} d)``. When d = 0 the
 constraint is vacuous and theta = G^{-1} z. Solves use a Cholesky
-factorization with one step of iterative refinement, falling back to a
-pivoted LU solve when the Gram is nearly singular. Because the Cholesky
+factorization with one step of iterative refinement. Because the Cholesky
 factor of a leading block of G is the leading block of G's factor, and its
 inverse the leading block of the factor's inverse,
 :func:`fit_leading_blocks` solves every leading block of one system from a
 single factorization and a single inverse of the factor. numpy has no
 triangular solve, so the solves are products with that inverse; the module
 needs numpy alone.
+
+There is no second solver: a failed factorization raises
+:class:`SingularDesignError`, and no Gram the package factorizes can make it
+fail. Each passed the stability event or the singularity test of
+:func:`solve_constrained`, or is a principal block of one that did. Both
+tests demand a smallest eigenvalue above ``1e-12 k`` (the floor of
+:func:`cpls.design.inv_opnorm`), and a principal block keeps that floor
+(Cauchy interlacing). Each diagonal entry is a time average of one f_j^2,
+so at most max_j sup f_j^2 <= 2 for all four families (trig and Laguerre
+members reach sqrt(2), Hermite ones pi^{-1/4}) whenever the normalization
+``t_norm`` is at least the window length T - t0; every caller in the package
+passes T. So the unit-diagonal scaling ``H = D^{-1/2} G D^{-1/2}``,
+D = diag(G), has ``lambda_min(H) >= lambda_min(G) / max_i G_ii > 5e-13 k``.
+Demmel's sufficient condition (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., SIAM 2002, section 10.1, Theorem 10.7) reads: "If
+lambda_min(H) > n gamma_{n+1} / (1 - n gamma_{n+1}) then Cholesky
+succeeds (barring underflow and overflow) and produces a nonsingular R",
+for n = k, gamma_j = j u / (1 - j u) and u = 2^-53. The right side is about
+``k (k + 1) 1.1e-16``, so the condition holds for every k below about
+4 500; at the protocol's k = 78 the margin is 57x.
 """
 
 from __future__ import annotations
@@ -55,8 +74,8 @@ class FitResult:
         return cls(dims=dims, theta=np.zeros(dims.total), truncated=True)
 
 
-def _cholesky_solver(gram: np.ndarray, mask: np.ndarray):
-    """Refine-once solver for the leading blocks of ``gram``, or None if not positive definite.
+def _cholesky_solver(system: DesignSystem, mask: np.ndarray):
+    """Refine-once solver for the leading blocks of ``system``'s Gram.
 
     Column j of a right-hand side belongs to the leading block whose size is
     the number of True entries of ``mask[:, j]`` (a leading run). The
@@ -64,12 +83,16 @@ def _cholesky_solver(gram: np.ndarray, mask: np.ndarray):
     and so is the factor's inverse, so one factorization and one inverse
     serve every column: each triangular solve is a product with that
     inverse, its result cut to the column's block, which leaves the block's
-    solution padded with exact zeros.
+    solution padded with exact zeros. Raises :class:`SingularDesignError`
+    when the Gram is not numerically positive definite.
     """
+    gram = system.gram
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        return None
+        raise SingularDesignError(
+            f"Cholesky factorization of the Gram matrix at dims {system.dims} failed"
+        ) from None
     # The inverse of the factor, by inverting its transpose: an LU with
     # partial pivoting of an upper triangular matrix swaps no rows, so this
     # is a back substitution per column, and entry (i, j) of the result
@@ -86,17 +109,6 @@ def _cholesky_solver(gram: np.ndarray, mask: np.ndarray):
     def solve(rhs: np.ndarray) -> np.ndarray:
         sol = solve_once(rhs)
         sol += solve_once(np.where(mask, rhs - gram @ sol, 0.0))
-        return sol
-
-    return solve
-
-
-def _indefinite_solver(gram: np.ndarray):
-    """Refine-once LU solver with partial pivoting, for a marginal Gram."""
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        sol = np.linalg.solve(gram, rhs)
-        sol += np.linalg.solve(gram, rhs - gram @ sol)
         return sol
 
     return solve
@@ -139,38 +151,31 @@ def fit_leading_blocks(system: DesignSystem, sizes):
     ``sizes[j]``, padded with zeros, and ``lam[j]``, ``gamma[j]`` its
     multiplier and contrast. One Cholesky factorization of the whole Gram
     serves every block, and all solves run as two batched products with the
-    factor's inverse plus one refinement step. Returns None when that
-    factorization fails.
+    factor's inverse plus one refinement step. Raises
+    :class:`SingularDesignError` when that factorization fails, which no
+    Gram with a smallest eigenvalue above ``1e-12 * size`` and a diagonal of
+    at most 2 can make happen (Demmel's condition, see the module
+    docstring): every Gram the scan factorizes is one.
     """
     mask, z, d = _leading_blocks(system, sizes)
-    solve = _cholesky_solver(system.gram, np.concatenate([mask, mask], axis=1))
-    if solve is None:
-        return None
+    solve = _cholesky_solver(system, np.concatenate([mask, mask], axis=1))
     return _minimizers(system.gram, z, d, solve)
 
 
-def solve_constrained(system: DesignSystem, check_singular: bool = True) -> FitResult:
+def solve_constrained(system: DesignSystem) -> FitResult:
     """Closed-form constrained minimizer of the empirical contrast.
 
     Raises :class:`SingularDesignError` when the Gram fails the scale-aware
-    eigenvalue threshold; no explicit matrix inversion is performed.
-    ``check_singular=False`` skips that eigenvalue test, for a system that
-    has already passed :func:`stability_event` (which implies it).
+    eigenvalue threshold of :func:`cpls.design.inv_opnorm`; no explicit
+    matrix inversion is performed. A Gram that passes it has a smallest
+    eigenvalue above ``1e-12 * size``, so with a diagonal of at most 2 its
+    Cholesky factorization succeeds (see the module docstring).
     """
-    if check_singular and not math.isfinite(inv_opnorm(system.gram)):
+    if not math.isfinite(inv_opnorm(system.gram)):
         raise SingularDesignError(
             f"Gram matrix at dims {system.dims} is numerically singular"
         )
-    solved = fit_leading_blocks(system, [system.size])
-    if solved is None:
-        # Marginal smallest eigenvalue: refined LU solve with partial pivoting.
-        solved = _minimizers(
-            system.gram,
-            system.zvec[:, None],
-            system.dvec[:, None],
-            _indefinite_solver(system.gram),
-        )
-    theta, lam, gamma = solved
+    theta, lam, gamma = fit_leading_blocks(system, [system.size])
     return FitResult(
         dims=system.dims,
         theta=theta[:, 0],

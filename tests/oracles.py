@@ -69,7 +69,7 @@ def pair_residuals(gram, zvec, dvec, theta, lam) -> dict[str, float]:
     }
 
 
-def scan_pairwise(design, n_paths, phi, psi, config, event=None):
+def scan_pairwise(design, n_paths, phi, psi, config):
     """The dimension scan pair by pair: a stability event and a dense solve for every pair.
 
     Walks every (m1, m2) of ``design.dims`` and applies the definitions
@@ -77,20 +77,18 @@ def scan_pairwise(design, n_paths, phi, psi, config, event=None):
     ``(admissible, fits, max_residuals)``: ``admissible`` maps every pair to
     its event's outcome, so its True keys are the admissible set (the True
     entries of ``DimensionScan.admissible``); ``fits`` maps each admissible pair to
-    ``(theta, lambda, gamma)``. ``event`` replaces
-    :func:`cpls.estimator.stability_event`.
+    ``(theta, lambda, gamma)``.
     """
     from cpls.design import DimPair, subsystem
     from cpls.estimator import stability_event
 
-    event = event or stability_event
     big = design.dims
     pairs = [DimPair(m1, m2) for m1 in range(1, big.m1 + 1) for m2 in range(1, big.m2 + 1)]
     admissible, fits = {}, {}
     max_res = {"constraint": 0.0, "optimality": 0.0, "kkt": 0.0}
     for dims in pairs:
         sub = subsystem(subsystem(design, DimPair(dims.m1, big.m2)), dims)
-        admissible[dims] = event(sub, n_paths, config.stability, phi, psi)
+        admissible[dims] = stability_event(sub, n_paths, config.stability, phi, psi)
         if not admissible[dims]:
             continue
         theta, lam = solve_pair(sub.gram, sub.zvec, sub.dvec)

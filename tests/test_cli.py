@@ -153,6 +153,13 @@ class TestFitCommand:
         chosen = meta["chosen"]
         assert gram.shape == (sum(chosen), sum(chosen))
 
+    def test_meta_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # macOS has no os.sched_getaffinity; the core count falls back to os.cpu_count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        code = run_cli(["fit", "--n", "40", "--max-m1", "5", "--max-m2", "5", "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "fit_meta.json").read_text())["cpus"] == os.cpu_count()
+
 
 class TestTable1Command:
     def test_grid_layout(self, tmp_path):
@@ -305,10 +312,11 @@ class TestConfigHandling:
         monkeypatch.setattr(expmod, "_run_rep", no_repetition)
         monkeypatch.setattr(climod, "generate_sample", no_sample)
         # The probe's flags come last, so they override the fast settings.
-        code = run_cli([args[0], "--out", str(tmp_path), *FAST, *args[1:]])
+        out = tmp_path / "out"
+        code = run_cli([args[0], "--out", str(out), *FAST, *args[1:]])
         assert code == 1
         assert capsys.readouterr().err == f"error [ValueError]: {message}\n"
-        assert not list(tmp_path.glob("*.csv"))
+        assert not out.exists()
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cpls.bases import HERMITE, TRIG, TRIG_NO_CONST, delta_vector, eval_matrix
-from cpls.design import DesignSystem, DimPair, build_design
+from cpls.design import EIG_THRESHOLD_PER_DIM, DesignSystem, DimPair, build_design, inv_opnorm
 from cpls.estimator import (
     FitResult,
     SingularDesignError,
     StabilityRule,
     evaluate_fit,
+    fit_leading_blocks,
     fit_residuals,
     solve_constrained,
     stability_event,
@@ -111,6 +112,44 @@ class TestSolveConstrained:
         fit = FitResult.zero(DimPair(2, 3))
         assert fit.truncated
         np.testing.assert_array_equal(fit.theta, np.zeros(5))
+
+
+def floor_gram(rng, k):
+    """Random SPD k x k Gram: largest eigenvalue 2, smallest just above the floor of inv_opnorm.
+
+    The other eigenvalues are log-uniform in between, the eigenvectors
+    random, so the diagonal is at most 2, as for every family's Gram.
+    """
+    low = 1.01 * EIG_THRESHOLD_PER_DIM * k
+    eig = np.concatenate([[low, 2.0], np.exp(rng.uniform(math.log(low), math.log(2.0), k - 2))])
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    gram = (q * eig) @ q.T
+    return 0.5 * (gram + gram.T)
+
+
+@pytest.mark.parametrize("k", [*range(2, 79), 120, 200, 500])
+def test_cholesky_succeeds_on_every_gram_the_event_admits(k):
+    # No fallback solver exists: a Gram that passes inv_opnorm's floor and
+    # has a diagonal of at most 2 always factorizes (Demmel's condition, see
+    # the cpls.estimator docstring), at every leading size.
+    rng = np.random.default_rng(1000 + k)
+    gram = floor_gram(rng, k)
+    assert np.diag(gram).max() <= 2.0
+    assert math.isfinite(inv_opnorm(gram))
+    m1 = k // 2
+    dvec = np.concatenate([np.zeros(m1), rng.standard_normal(k - m1)])
+    system = make_system(gram, rng.standard_normal(k), dvec, DimPair(m1, k - m1))
+    sizes = np.arange(1, k + 1)
+    theta, lam, gamma = fit_leading_blocks(system, sizes)
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
+    assert np.all(theta[np.arange(k)[:, None] >= sizes[None, :]] == 0.0)
+
+
+def test_failed_factorization_raises():
+    gram = np.diag([1.0, 1.0, -1.0])
+    sys = make_system(gram, np.ones(3), np.array([0.0, 0.0, 1.0]), DimPair(2, 1))
+    with pytest.raises(SingularDesignError, match="Cholesky"):
+        fit_leading_blocks(sys, [3])
 
 
 class TestOracleEquivalence:

@@ -260,6 +260,36 @@ class TestRunExperiment:
         assert report.summary["mse100_a_mean"] == pytest.approx(100.0 * np.mean([r.mse_a for r in kept]), rel=1e-14)
         assert report.summary["dim_b_mean"] == np.mean([r.dims.m2 for r in kept])
 
+    def test_failed_factorization_fails_one_repetition(self, monkeypatch):
+        # A scan whose Cholesky factorization fails raises; the run records
+        # that repetition as failed and goes on. The second repetition's
+        # design is made indefinite and the stability event forced to pass
+        # on it, which no real design needs (see cpls.estimator).
+        import cpls.experiments as expmod
+        import cpls.selection as selection
+
+        clean = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
+        real_scan = expmod.scan_dimension_grid
+        calls = []
+
+        def scan_failing_second(sample, phi, psi, config):
+            calls.append(sample)
+            if len(calls) != 2:
+                return real_scan(sample, phi, psi, config)
+            design = real_scan(sample, phi, psi, config).design
+            design.gram[-1, -1] = -1.0
+            with monkeypatch.context() as patch:
+                patch.setattr(selection, "stability_event", lambda *args: True)
+                return selection.scan_design(design, sample.n_paths, phi, psi, config)
+
+        monkeypatch.setattr(expmod, "scan_dimension_grid", scan_failing_second)
+        report = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
+        assert len(calls) == 3
+        bad = report.per_rep[1]
+        assert bad.failed and bad.error.startswith("SingularDesignError: ")
+        assert report.failures == {"SingularDesignError": 1}
+        assert_same_records([report.per_rep[0], report.per_rep[2]], [clean.per_rep[0], clean.per_rep[2]])
+
     def test_invalid_cell_is_raised_not_recorded(self):
         with pytest.raises(ValueError):
             run_experiment(2, "B", 0, 2, seed=9, config=tiny_config())

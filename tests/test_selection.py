@@ -13,6 +13,7 @@ from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, sup_no
 from cpls.design import DesignSystem, DimPair, build_design
 from cpls.estimator import (
     FitResult,
+    SingularDesignError,
     StabilityRule,
     fit_leading_blocks,
     leading_block_residuals,
@@ -543,35 +544,25 @@ def test_selection_result_does_not_keep_the_scan_arrays(bench_sample):
     assert all(not r.fit.truncated for r in results)
 
 
-def test_factorization_failure_falls_back_pair_by_pair(monkeypatch):
+def test_factorization_failure_raises(monkeypatch):
     # Every pair holding the last psi member is indefinite, so the Cholesky
-    # factorization of each m1's system fails. The stability event is
-    # replaced by one that passes everything, so that those pairs reach the
-    # solver: the pairs without the last member take their own Cholesky
-    # solve, those with it the pivoted LU solve.
+    # factorization of each m1's system fails. No Gram that passes the
+    # stability event does this (see cpls.estimator), so the event is
+    # replaced by one that passes everything; there is no fallback solver,
+    # and the scan raises.
     import cpls.selection as selection
 
     rng = np.random.default_rng(3)
     design = synthetic_design(rng, 3, 4)
     design.gram[-1, -1] -= 50.0
     assert np.linalg.eigvalsh(design.gram)[0] < 0
-    assert fit_leading_blocks(design, [design.size]) is None
 
     def always(*args, **kwargs):
         return True
 
     monkeypatch.setattr(selection, "stability_event", always)
-    scan = scan_design(design, 100, HERMITE, HERMITE, SelectionConfig())
-    admissible, fits, _ = scan_pairwise(
-        design, 100, HERMITE, HERMITE, SelectionConfig(), event=always
-    )
-    assert all(admissible.values()) and scan.admissible.all()
-    for dims, (theta, _, gamma) in fits.items():
-        fit = scan.fit_at(*dims)
-        scale = np.max(np.abs(theta))
-        np.testing.assert_allclose(fit.theta, theta, rtol=0, atol=1e-10 * scale)
-        assert fit.gamma_value == pytest.approx(gamma, rel=1e-10)
-    assert max(scan.max_residuals.values()) < 1e-10
+    with pytest.raises(SingularDesignError, match=r"DimPair\(m1=1, m2=4\)"):
+        scan_design(design, 100, HERMITE, HERMITE, SelectionConfig())
 
 
 def test_sampled_scan_matches_reference(bench_sample):
