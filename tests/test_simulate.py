@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpls import simulate as sim
 from cpls.simulate import (
@@ -39,6 +41,12 @@ class TestSpecs:
             SdeModel(a=lambda x: x / (x - x), b=flat(0.0), sigma=flat(1.0))
         with pytest.raises(ValueError):
             SdeModel(a=flat(0.0), b=flat(0.0), sigma=flat(1.0), x0=math.inf)
+
+    def test_model_probe_rejects_b_not_elementwise_on_blocks(self):
+        # the simulator applies b to 2-D blocks of Y; these pass a 1-D probe
+        for b in (lambda y: np.full(len(y), 0.5), lambda y: y - y.mean(axis=0)):
+            with pytest.raises(ValueError, match="^b must"):
+                SdeModel(a=flat(0.0), b=b, sigma=flat(1.0))
 
     def test_explanatory_validation(self):
         with pytest.raises(ValueError):
@@ -154,12 +162,38 @@ class TestSimulateX:
         assert abs(xt.var(ddof=1) - 22.5) < 0.05 * 22.5
 
     def test_simulation_failure_reports_step(self):
-        grid = GridSpec(n_steps=50, dt=0.5, drop_first=0)
-        model = SdeModel(a=lambda x: x**3, b=flat(0.0), sigma=flat(0.0), x0=2.0)
-        with pytest.raises(SimulationError) as err:
-            sim._simulate_x_batch(model, np.zeros((1, 51)), grid, [1])
-        assert err.value.path == 0
-        assert err.value.step is not None
+        # dX = (X^3 + y_i) dt from X = 0 blows up first on the path with the
+        # highest constant Y row; path and step are those of a per-step loop.
+        grid = GridSpec(n_steps=100, dt=0.1, drop_first=0)
+        model = SdeModel(a=lambda x: x**3, b=lambda y: y, sigma=flat(0.0), x0=0.0)
+        cases = [
+            # paths 2 and 3 diverge together, path 1 later: the lower index
+            ([0.0, 0.4, 1.5, 1.5], 2, 18),
+            # the last step of the first block of steps, and the first of the next
+            ([0.0, 1.0, 2.0], 2, 16),
+            ([0.0, 1.7, 0.5, 0.0], 1, 17),
+        ]
+        for levels, path, step in cases:
+            y = np.repeat(np.asarray(levels)[:, None], 101, axis=1)
+            with pytest.raises(SimulationError) as err:
+                sim._simulate_x_batch(model, y, grid, list(range(len(levels))))
+            assert (err.value.path, err.value.step) == (path, step)
+
+    def test_batch_memory_bounded(self):
+        # the noise and the time-major steps share one buffer: the batch
+        # holds about two copies of X, not one per stage
+        grid = GridSpec()
+        model = sim.make_model(2)
+        spec = sim.explanatory_by_name("A")
+        pairs = sim.path_seeds(3, 1000)
+        y = sim._simulate_y_batch(spec, grid, [p[0] for p in pairs])
+        tracemalloc.start()
+        try:
+            x = sim._simulate_x_batch(model, y, grid, [p[1] for p in pairs])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * x.nbytes
 
 
 class TestGenerateSample:
@@ -211,6 +245,58 @@ class TestGenerateSample:
         s = sim.generate_sample(model, sim.explanatory_by_name("A"), grid, 2, seed=0)
         with pytest.raises(ValueError):
             s.x[0, 0] = 99.0
+
+
+_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**130 + 12345]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestSeeding:
+    """The batched seeding against numpy's SeedSequence and default_rng."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from(_SEED_EDGES), st.integers(0, 2**160)),
+        n_paths=st.integers(1, 300),
+    )
+    def test_path_seeds_equal_numpy_spawn(self, seed, n_paths):
+        children = np.random.SeedSequence(seed).spawn(n_paths)
+        expected = [tuple(int(v) for v in c.generate_state(2, np.uint64)) for c in children]
+        assert sim.path_seeds(seed, n_paths) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seeds=st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**64 - 1),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        n=st.integers(1, 300),
+    )
+    def test_normals_equal_default_rng(self, seeds, n):
+        out = sim._normals(seeds, n)
+        assert out.shape == (len(seeds), n)
+        for row, s in zip(out, seeds):
+            np.testing.assert_array_equal(_bits(row), _bits(np.random.default_rng(s).standard_normal(n)))
+
+    def test_normals_of_path_streams(self):
+        flat_seeds = [s for pair in sim.path_seeds(2**64 + 5, 40) for s in pair]
+        out = sim._normals(flat_seeds, 64)
+        for row, s in zip(out, flat_seeds):
+            np.testing.assert_array_equal(_bits(row), _bits(np.random.default_rng(s).standard_normal(64)))
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            sim.path_seeds(-1, 3)
+        with pytest.raises(ValueError):
+            sim._normals([5, -1], 3)
 
 
 def test_drift_pair_registry():
