@@ -233,17 +233,11 @@ def subsystem(system: DesignSystem, dims: DimPair) -> DesignSystem:
 
     Valid because the projection spaces are nested: the Gram and observation
     entries at (m1, m2) are exactly the corresponding sub-blocks at any
-    (M1, M2) >= (m1, m2) assembled from the same sample. When ``m1 == M1``
-    the result shares memory with ``system``'s arrays instead of copying.
+    (M1, M2) >= (m1, m2) assembled from the same sample. The arrays are copies.
     """
     big = system.dims
     if dims.m1 > big.m1 or dims.m2 > big.m2:
         raise ValueError(f"{dims} is not nested in {big}")
-    if dims.m1 == big.m1:
-        # The kept entries form the leading block: return views, not copies.
-        k = dims.total
-        gram, zvec, dvec = system.gram[:k, :k], system.zvec[:k], system.dvec[:k]
-    else:
-        idx = np.concatenate([np.arange(dims.m1), big.m1 + np.arange(dims.m2)])
-        gram, zvec, dvec = system.gram[np.ix_(idx, idx)], system.zvec[idx], system.dvec[idx]
+    idx = np.concatenate([np.arange(dims.m1), big.m1 + np.arange(dims.m2)])
+    gram, zvec, dvec = system.gram[np.ix_(idx, idx)], system.zvec[idx], system.dvec[idx]
     return DesignSystem(dims=dims, gram=gram, zvec=zvec, dvec=dvec, t_norm=system.t_norm)

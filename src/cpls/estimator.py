@@ -8,20 +8,27 @@ closed form
     theta = G^{-1} z - (d' G^{-1} z) / (d' G^{-1} d) * G^{-1} d,
 
 with multiplier ``lambda = -2 (d' G^{-1} z) / (d' G^{-1} d)``. When d = 0 the
-constraint is vacuous and theta = G^{-1} z. Solves use a Cholesky
-factorization with one step of iterative refinement. Because the Cholesky
-factor of a leading block of G is the leading block of G's factor, and its
-inverse the leading block of the factor's inverse,
-:func:`fit_leading_blocks` solves every leading block of one system from a
-single factorization and a single inverse of the factor. numpy has no
-triangular solve, so the solves are products with that inverse; the module
-needs numpy alone.
+constraint is vacuous and theta = G^{-1} z.
+
+One solver, :func:`fit_nested_pairs`, fits every pair (m1, m2) of a scan
+rectangle at once by block elimination in the [phi | psi] order. With A, B
+and C the phi-phi, psi-phi and psi-psi blocks of G, the Cholesky factor of
+pair (m1, m2) is [[L11, 0], [L21, L22]] cut to its block: L11 and L21 are
+leading blocks of the factor of A and of B L11^-T, and L22 of the factor
+of the Schur complement S(m1) = C - L21[:, :m1] L21[:, :m1]'. So A is
+factored once, and the complements of all m1, a running sum, in one
+stacked call. With z and d as two right-hand sides, running sums of the
+forward solves give every pair's d'G^-1 z and d'G^-1 d, and two stacked
+products with the factors' inverses every theta. numpy has no triangular
+solve, so the module inverts the factors by forward substitution. There is
+no refinement step: over 36 scans of the 12 cells of table 1 (N = 400 and
+1000, 3 repetitions each) the largest KKT residual was 5.4e-12 relative.
 
 There is no second solver: a failed factorization raises
 :class:`SingularDesignError`, and no Gram the package factorizes can make it
-fail. Each passed the stability event or the singularity test of
-:func:`solve_constrained`, or is a principal block of one that did. Both
-tests demand a smallest eigenvalue above ``1e-12 k`` (the floor of
+fail. Each factored phi block is a principal block of a pair that passed
+the stability event or the singularity test of :func:`solve_constrained`.
+Both tests demand a smallest eigenvalue above ``1e-12 k`` (the floor of
 :func:`cpls.design.inv_opnorm`), and a principal block keeps that floor
 (Cauchy interlacing). Each diagonal entry is a time average of one f_j^2,
 so at most max_j sup f_j^2 <= 2 for all four families (trig and Laguerre
@@ -36,12 +43,20 @@ succeeds (barring underflow and overflow) and produces a nonsingular R",
 for n = k, gamma_j = j u / (1 - j u) and u = 2^-53. The right side is about
 ``k (k + 1) 1.1e-16``, so the condition holds for every k below about
 4 500; at the protocol's k = 78 the margin is 57x.
+
+The stacked complements meet the same condition. The inverse of pair (m1,
+m2)'s complement S is the psi-psi block of its G^-1, so ``lambda_min(S) >=
+lambda_min(G)``, and S is C less a positive semidefinite matrix, so
+``diag(S) <= diag(C) <= 2``. Each is padded with the identity past its
+frontier, so ``lambda_min(H) > 5e-13 (m1 + m2) >= 1e-12``, against a right
+side of 1.7e-13 at the protocol's M2 = 39. This bounds the exact
+complements; ``tests/test_estimator.py`` factors computed ones at the floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,142 +89,156 @@ class FitResult:
         return cls(dims=dims, theta=np.zeros(dims.total), truncated=True)
 
 
-def _cholesky_solver(system: DesignSystem, mask: np.ndarray):
-    """Refine-once solver for the leading blocks of ``system``'s Gram.
-
-    Column j of a right-hand side belongs to the leading block whose size is
-    the number of True entries of ``mask[:, j]`` (a leading run). The
-    Cholesky factor of a leading block is the leading block of the factor,
-    and so is the factor's inverse, so one factorization and one inverse
-    serve every column: each triangular solve is a product with that
-    inverse, its result cut to the column's block, which leaves the block's
-    solution padded with exact zeros. Raises :class:`SingularDesignError`
-    when the Gram is not numerically positive definite.
-    """
-    gram = system.gram
+def _cholesky(matrix: np.ndarray, dims: DimPair) -> np.ndarray:
+    """Cholesky factor of ``matrix``, the Gram (or a Schur complement in it) at ``dims``."""
     try:
-        chol = np.linalg.cholesky(gram)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise SingularDesignError(
-            f"Cholesky factorization of the Gram matrix at dims {system.dims} failed"
+            f"Cholesky factorization of the Gram matrix at dims {dims} failed"
         ) from None
-    # The inverse of the factor, by inverting its transpose: an LU with
-    # partial pivoting of an upper triangular matrix swaps no rows, so this
-    # is a back substitution per column, and entry (i, j) of the result
-    # depends on the leading (j + 1) x (j + 1) block alone.
-    inv = np.linalg.inv(chol.T).T
-
-    def solve_once(rhs: np.ndarray) -> np.ndarray:
-        y = inv @ rhs
-        y[~mask] = 0.0
-        sol = inv.T @ y
-        sol[~mask] = 0.0
-        return sol
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        sol = solve_once(rhs)
-        sol += solve_once(np.where(mask, rhs - gram @ sol, 0.0))
-        return sol
-
-    return solve
 
 
-def _colsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise inner products of two equally shaped matrices."""
-    return np.einsum("ij,ij->j", a, b)
+def _invert_lower(factor: np.ndarray) -> np.ndarray:
+    """Invert a stack of lower triangular factors (..., n, n) in place, by forward substitution.
 
-
-def _minimizers(gram: np.ndarray, z: np.ndarray, d: np.ndarray, solve):
-    """(theta, lambda, gamma) of the closed form, one column per column of ``z`` and ``d``."""
-    n_cols = z.shape[1]
-    sol = solve(np.concatenate([z, d], axis=1))
-    u, v = sol[:, :n_cols], sol[:, n_cols:]
-    has_d = np.any(d, axis=0)
-    ratio = np.zeros(n_cols)
-    ratio[has_d] = _colsum(d, u)[has_d] / _colsum(d, v)[has_d]
-    theta = u - ratio * v
-    lam = np.where(has_d, -2.0 * ratio, 0.0)
-    return theta, lam, -_colsum(theta, gram @ theta)
-
-
-def _leading_blocks(system: DesignSystem, sizes):
-    """(mask, z, d) for the leading blocks of ``system`` of the given sizes.
-
-    Entry (i, j) of the mask is True when i < sizes[j]; column j of ``z``
-    and ``d`` is ``zvec[:sizes[j]]`` and ``dvec[:sizes[j]]`` padded with zeros.
+    Row i of an inverse overwrites row i of its factor, the last row it
+    reads, so the inverse of a leading block is the leading block of the
+    inverse, with exact zeros above the diagonal. On 39 factors of 39 x 39
+    it takes a third of the time of ``numpy.linalg.inv``.
     """
-    mask = np.arange(system.size)[:, None] < np.asarray(sizes)[None, :]
-    z = np.where(mask, system.zvec[:, None], 0.0)
-    return mask, z, np.where(mask, system.dvec[:, None], 0.0)
+    unit = np.eye(factor.shape[-1])
+    for i in range(factor.shape[-1]):
+        known = np.einsum("...k,...kj->...j", factor[..., i, :i], factor[..., :i, :])
+        factor[..., i, :] = (unit[i] - known) / factor[..., i, i, None]
+    return factor
 
 
-def fit_leading_blocks(system: DesignSystem, sizes):
-    """Constrained minimizers on the leading blocks of ``system`` of the given sizes.
+def _residual_dots(theta, g_theta, z, d, lam) -> list[np.ndarray]:
+    """The inner products that :func:`_residuals` reads, per row: one fit, its G theta,
+    z and d (each zero off the fit's block) and multiplier."""
+    r = g_theta - z
+    kkt = 2.0 * r - lam[:, None] * d
+    pairs = ((theta, d), (theta, r), (theta, g_theta), (theta, z), (theta, theta),
+             (d, d), (g_theta, g_theta), (z, z), (kkt, kkt))
+    return [np.einsum("ij,ij->i", a, b) for a, b in pairs]
 
-    Returns ``(theta, lam, gamma)``: column j of ``theta`` (shape
-    ``(size, len(sizes))``) holds the minimizer on the leading block of size
-    ``sizes[j]``, padded with zeros, and ``lam[j]``, ``gamma[j]`` its
-    multiplier and contrast. One Cholesky factorization of the whole Gram
-    serves every block, and all solves run as two batched products with the
-    factor's inverse plus one refinement step. Raises
-    :class:`SingularDesignError` when that factorization fails, which no
-    Gram with a smallest eigenvalue above ``1e-12 * size`` and a diagonal of
-    at most 2 can make happen (Demmel's condition, see the module
-    docstring): every Gram the scan factorizes is one.
+
+def _residuals(dots, lam) -> dict[str, np.ndarray]:
+    """The residuals of :func:`fit_residuals` from the inner products of :func:`_residual_dots`."""
+    tiny = 1e-300
+    t_d, t_r, t_g, t_z, t_t, d_d, g_g, z_z, kkt = dots
+    return {
+        "constraint": np.abs(t_d) / np.maximum(np.sqrt(t_t * d_d), tiny),
+        "optimality": np.abs(t_r) / np.maximum(np.maximum(np.abs(t_g), np.abs(t_z)), tiny),
+        "kkt": np.sqrt(kkt) / np.maximum(
+            np.maximum(2.0 * np.sqrt(g_g), 2.0 * np.sqrt(z_z)),
+            np.maximum(np.abs(lam) * np.sqrt(d_d), tiny),
+        ),
+    }
+
+
+def fit_nested_pairs(system: DesignSystem, frontier):
+    """Constrained minimizers of every pair (m1, m2) with ``m2 <= frontier[m1 - 1]``.
+
+    ``frontier`` is nonincreasing, one entry per m1 of ``system.dims`` = (M1,
+    M2). Returns ``(coef, lam, gamma, max_residuals)``: ``coef`` (M1 x M2 x
+    (M1 + M2)) holds the minimizer of pair (m1, m2) at [m1 - 1, m2 - 1] as
+    ``[a-part | 0 | b-part | 0]``, the padding exactly zero; ``lam`` and
+    ``gamma`` (M1 x M2) its multiplier and contrast, NaN off the fitted
+    pairs; ``max_residuals`` the largest residuals of :func:`fit_residuals`
+    over them, from products with G formed one m1 at a time. Raises
+    :class:`SingularDesignError` when a factorization fails, naming the
+    smallest m1 whose system does (see the module docstring).
     """
-    mask, z, d = _leading_blocks(system, sizes)
-    solve = _cholesky_solver(system, np.concatenate([mask, mask], axis=1))
-    return _minimizers(system.gram, z, d, solve)
+    big_m1, big_m2 = system.dims
+    frontier = np.asarray(frontier)
+    top = int(np.count_nonzero(frontier))
+    fitted = np.arange(big_m2) < frontier[:, None]
+    coef = np.zeros((big_m1, big_m2, system.size))
+    lam = np.full((big_m1, big_m2), np.nan)
+    if top == 0:
+        return coef, lam, lam.copy(), dict.fromkeys(("constraint", "optimality", "kkt"), 0.0)
+    gram, rhs = system.gram, np.stack([system.zvec, system.dvec], axis=1)
+    inv11 = _invert_lower(_cholesky(gram[:top, :top], DimPair(top, int(frontier[top - 1]))))
+    l21t = inv11 @ gram[:top, big_m1:]  # L21', one row per phi member
+    # Stack entry i belongs to m1 = i + 1: its complement, padded with the
+    # identity past the frontier, and the psi-part of its forward solves.
+    psi_idx, past = np.arange(big_m2), ~fitted[:top]
+    comp = l21t[:, :, None] * l21t[:, None, :]
+    np.cumsum(comp, axis=0, out=comp)
+    np.subtract(gram[big_m1:, big_m1:], comp, out=comp)
+    comp[past[:, :, None] | past[:, None, :]] = 0.0
+    comp[:, psi_idx, psi_idx] += past
+    try:
+        inv22 = _invert_lower(np.linalg.cholesky(comp))
+    except np.linalg.LinAlgError:
+        for i, block in enumerate(comp):  # name the first pair whose system fails
+            _cholesky(block, DimPair(i + 1, int(frontier[i])))
+        raise
+    del comp
+    y1 = inv11 @ rhs[:top]
+    y2 = inv22 @ (rhs[big_m1:] - np.cumsum(l21t[:, :, None] * y1[:, None, :], axis=0))
+    # d'G^-1 z and d'G^-1 d of every pair, as running sums over m1 and m2.
+    dz, dd = (np.cumsum(y1[:, 1] * y1[:, k])[:, None] + np.cumsum(y2[:, :, 1] * y2[:, :, k], axis=1)
+              for k in (0, 1))
+    ratio = np.divide(dz, dd, out=np.zeros_like(dz), where=~past & (dd > 0.0))
+    lam[fitted] = np.where(dd > 0.0, -2.0 * ratio, 0.0)[~past]
+    # y[i, :, j] = y_z - ratio y_d on the psi block of pair (i + 1, j + 1),
+    # cut to its m2 = j + 1 entries; the b-parts are L22^-T y, stored transposed.
+    y = y2[:, :, 1:] * ratio[:, None, :]
+    np.subtract(y2[:, :, :1], y, out=y)
+    y *= (psi_idx[:, None] <= psi_idx) & ~past[:, None, :]
+    b_part = coef[:top, :, big_m1:]
+    np.matmul(y.swapaxes(1, 2), inv22, out=b_part)
+    del y, inv22
+    # The a-parts, L11^-T (y_z - ratio y_d - L21' theta_b) cut to m1 = i + 1, also transposed.
+    x = b_part @ l21t.T
+    np.subtract(y1[:, 0], x, out=x)
+    x -= ratio[:, :, None] * y1[:, 1]
+    x *= (np.arange(top) <= np.arange(top)[:, None, None]) & ~past[:, :, None]
+    np.matmul(x, inv11, out=coef[:top, :, :top])
+    # The contrasts and the residuals' inner products, one m1 at a time.
+    cols = np.arange(system.size)
+    in_b = (cols >= big_m1) & (cols - big_m1 <= cols[:big_m2, None])  # row j: m2 = j + 1
+    dots = np.zeros((9, big_m1, big_m2))
+    for m1, last in enumerate(frontier[:top].tolist(), 1):
+        theta = coef[m1 - 1, :last]
+        keep = in_b[:last] | (cols < m1)
+        g_theta = theta @ gram
+        g_theta *= keep
+        dots[:, m1 - 1, :last] = _residual_dots(
+            theta, g_theta, keep * system.zvec, keep * system.dvec, lam[m1 - 1, :last]
+        )
+    res = _residuals(dots[:, fitted], lam[fitted])
+    max_res = {key: float(value.max(initial=0.0)) for key, value in res.items()}
+    return coef, lam, np.where(fitted, -dots[2], np.nan), max_res
 
 
 def solve_constrained(system: DesignSystem) -> FitResult:
-    """Closed-form constrained minimizer of the empirical contrast.
+    """Closed-form constrained minimizer of the empirical contrast, by :func:`fit_nested_pairs`.
 
     Raises :class:`SingularDesignError` when the Gram fails the scale-aware
-    eigenvalue threshold of :func:`cpls.design.inv_opnorm`; no explicit
-    matrix inversion is performed. A Gram that passes it has a smallest
-    eigenvalue above ``1e-12 * size``, so with a diagonal of at most 2 its
-    Cholesky factorization succeeds (see the module docstring).
+    eigenvalue threshold of :func:`cpls.design.inv_opnorm`; the Gram itself
+    is never inverted. A Gram that passes it has a smallest eigenvalue above
+    ``1e-12 * size``, so with a diagonal of at most 2 its factorizations
+    succeed (see the module docstring).
     """
     if not math.isfinite(inv_opnorm(system.gram)):
         raise SingularDesignError(
             f"Gram matrix at dims {system.dims} is numerically singular"
         )
-    theta, lam, gamma = fit_leading_blocks(system, [system.size])
+    # Relabelled with one phi member, the whole system is the one pair
+    # (1, size - 1): one complement and one row of fits.
+    whole = replace(system, dims=DimPair(1, system.size - 1))
+    coef, lam, gamma, _ = fit_nested_pairs(whole, [system.size - 1])
     return FitResult(
         dims=system.dims,
-        theta=theta[:, 0],
+        theta=coef[0, -1].copy(),
         truncated=False,
-        lambda_multiplier=float(lam[0]),
-        gamma_value=float(gamma[0]),
+        lambda_multiplier=float(lam[0, -1]),
+        gamma_value=float(gamma[0, -1]),
     )
-
-
-def leading_block_residuals(
-    system: DesignSystem, theta: np.ndarray, lam: np.ndarray, sizes
-) -> dict[str, np.ndarray]:
-    """The residuals of :func:`fit_residuals`, one per column of ``theta``.
-
-    Column j of ``theta`` is a fit on the leading block of size ``sizes[j]``,
-    padded with zeros, and ``lam[j]`` its multiplier.
-    """
-    mask, z, d = _leading_blocks(system, sizes)
-    tiny = 1e-300
-    g_theta = np.where(mask, system.gram @ theta, 0.0)
-
-    def norm(a: np.ndarray) -> np.ndarray:
-        return np.sqrt(_colsum(a, a))
-
-    constraint = np.abs(_colsum(theta, d)) / np.maximum(norm(theta) * norm(d), tiny)
-    r = g_theta - z
-    optimality = np.abs(_colsum(theta, r)) / np.maximum(
-        np.maximum(np.abs(_colsum(theta, g_theta)), np.abs(_colsum(theta, z))), tiny
-    )
-    kkt = norm(2.0 * r - lam * d) / np.maximum(
-        np.maximum(2.0 * norm(g_theta), 2.0 * norm(z)),
-        np.maximum(np.abs(lam) * norm(d), tiny),
-    )
-    return {"constraint": constraint, "optimality": optimality, "kkt": kkt}
 
 
 def fit_residuals(system: DesignSystem, fit: FitResult) -> dict[str, float]:
@@ -221,10 +250,9 @@ def fit_residuals(system: DesignSystem, fit: FitResult) -> dict[str, float]:
 
     All scales are floored to avoid division by zero for the zero fit.
     """
-    res = leading_block_residuals(
-        system, fit.theta[:, None], np.array([fit.lambda_multiplier]), [system.size]
-    )
-    return {key: float(val[0]) for key, val in res.items()}
+    theta, lam = fit.theta[None, :], np.array([fit.lambda_multiplier])
+    dots = _residual_dots(theta, theta @ system.gram, system.zvec[None, :], system.dvec[None, :], lam)
+    return {key: float(val[0]) for key, val in _residuals(dots, lam).items()}
 
 
 @dataclass(frozen=True)

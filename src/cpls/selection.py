@@ -3,9 +3,9 @@
 Both selectors read one scan of the dimension pairs in
 [1, max_m1] x [1, max_m2] that pass the stability event. The projection
 spaces are nested, so the scan assembles the design once, at the maximal
-dimensions, and works per m1: with the coordinates ordered
-[phi_1..phi_m1, psi_1..psi_max_m2], every pair (m1, m2) is a leading block
-of one system.
+dimensions, and every pair (m1, m2) is a principal block of it: with the
+coordinates ordered [phi_1..phi_max_m1, psi_1..psi_max_m2], the block of
+the first m1 phi and the first m2 psi members.
 
 * The admissible set is found on its frontier alone. Both stability rules
   reduce to "the smallest Gram eigenvalue is at least a threshold", and the
@@ -20,9 +20,11 @@ of one system.
   and moving on to the next m1, decides the rectangle; it reuses the
   corner's outcome, so the scan never makes more than max_m1 + max_m2
   events.
-* Every admissible pair of one m1 is fitted from one Cholesky factor of the
-  system up to the frontier, and that factor's inverse
-  (:func:`cpls.estimator.fit_leading_blocks`).
+* Every admissible pair is fitted at once, by block elimination in the
+  [phi | psi] order (:func:`cpls.estimator.fit_nested_pairs`): one Cholesky
+  factor of the phi block up to the last m1 with an admissible pair, and
+  one stacked factor of the psi Schur complements of all m1, each cut at
+  its frontier. The residual maxima are taken one m1 at a time.
 * The scan is stored as arrays, not as one object per pair: the frontier
   (the largest admissible m2 of each m1), the contrast and multiplier of
   each pair as M1 x M2 tables, and every fit's coefficients in one array
@@ -59,13 +61,7 @@ import numpy as np
 
 from .bases import BasisFamily, eval_rows
 from .design import DesignSystem, DimPair, build_design, subsystem
-from .estimator import (
-    FitResult,
-    StabilityRule,
-    fit_leading_blocks,
-    leading_block_residuals,
-    stability_event,
-)
+from .estimator import FitResult, StabilityRule, fit_nested_pairs, stability_event
 # Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these two bindings.
 from .estimator import fit_residuals, solve_constrained
 from .quadrature import simpson_grid
@@ -197,9 +193,6 @@ class DimensionScan:
         )
 
 
-_RESIDUAL_KEYS = ("constraint", "optimality", "kkt")
-
-
 def scan_design(
     design: DesignSystem,
     n_paths: int,
@@ -213,46 +206,24 @@ def scan_design(
     fails, along the frontier of the admissible set, at most M1 + M2 calls
     in all: the set is a down-set (see the module docstring), so every pair
     passes when the corner does, and otherwise a pair below the frontier
-    passes and a pair above it fails. Per m1, one Cholesky factor of the
-    system up to the frontier fits every admissible m2. That system passed
-    the event or is a principal block of one that did, so the factorization
-    cannot fail (see :mod:`cpls.estimator`); if it does, the scan raises
-    :class:`cpls.estimator.SingularDesignError`.
+    passes and a pair above it fails. Then one call fits every admissible
+    pair from one factor of the phi block and a stacked factor of the psi
+    Schur complements. Every system it factors passed the event or is a
+    principal block (or a Schur complement in one) of a system that did, so
+    no factorization can fail (see :mod:`cpls.estimator`); if one does, the
+    scan raises :class:`cpls.estimator.SingularDesignError`.
     """
     max_m1, max_m2 = design.dims
-    corner = stability_event(design, n_paths, config.stability, phi, psi)
-
-    def passes(block: DesignSystem, m2: int) -> bool:
-        dims = DimPair(block.dims.m1, m2)
-        if corner or dims == design.dims:
-            return corner
-        return stability_event(subsystem(block, dims), n_paths, config.stability, phi, psi)
-
-    frontier = np.zeros(max_m1, dtype=int)
-    gamma = np.full((max_m1, max_m2), np.nan)
-    lam = np.full((max_m1, max_m2), np.nan)
-    coef = np.zeros((max_m1, max_m2, max_m1 + max_m2))
-    max_res = dict.fromkeys(_RESIDUAL_KEYS, 0.0)
-    m2 = max_m2
-    for m1 in range(1, max_m1 + 1):
-        # Every pair (m1, m2) is a leading block of this system.
-        block = subsystem(design, DimPair(m1, max_m2))
-        while m2 > 0 and not passes(block, m2):
-            m2 -= 1
-        if m2 == 0:
-            break
-        frontier[m1 - 1] = m2
-        block = subsystem(block, DimPair(m1, m2))
-        sizes = list(range(m1 + 1, m1 + m2 + 1))
-        theta, lam[m1 - 1, :m2], gamma[m1 - 1, :m2] = fit_leading_blocks(block, sizes)
-        # Column j of theta is the fit at (m1, j + 1), zero below row m1 + j.
-        coef[m1 - 1, :m2, :m1] = theta[:m1].T
-        coef[m1 - 1, :m2, max_m1 : max_m1 + m2] = np.tril(theta[m1:].T)
-        res = leading_block_residuals(block, theta, lam[m1 - 1, :m2], sizes)
-        max_res = {key: max(max_res[key], float(res[key].max())) for key in _RESIDUAL_KEYS}
-        # Dropped before the next m1's arrays are made: kept alive, they
-        # raised a table1 pool worker's peak RSS by about 1 MB.
-        del theta, res
+    frontier = np.full(max_m1, max_m2)
+    if not stability_event(design, n_paths, config.stability, phi, psi):
+        m2 = max_m2
+        for m1 in range(1, max_m1 + 1):
+            # lower m2 while the event fails; the corner is known to fail
+            while m2 > 0 and ((m1, m2) == (max_m1, max_m2) or not stability_event(
+                    subsystem(design, DimPair(m1, m2)), n_paths, config.stability, phi, psi)):
+                m2 -= 1
+            frontier[m1 - 1] = m2
+    coef, lam, gamma, max_res = fit_nested_pairs(design, frontier)
     return DimensionScan(
         design=design,
         phi=phi,

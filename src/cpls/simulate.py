@@ -96,6 +96,16 @@ class SdeModel:
 
 
 @dataclass(frozen=True)
+class ConstantSigma:
+    """A diffusion coefficient that does not depend on x; the Euler step multiplies by ``value``."""
+
+    value: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.full_like(np.asarray(x, dtype=float), self.value)
+
+
+@dataclass(frozen=True)
 class ExplanatorySpec:
     """Configuration of the exogenous explanatory process Y."""
 
@@ -332,6 +342,7 @@ def _simulate_x_batch(
     np.multiply(x[:, 1:].T, math.sqrt(dt), out=xt[1:])
     xt[0] = model.x0
     drift = np.empty(len(seeds))
+    constant = model.sigma.value if isinstance(model.sigma, ConstantSigma) else None
     # Overflow in a diverging path is caught via the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _STEP_BLOCK):
@@ -344,7 +355,7 @@ def _simulate_x_batch(
                 drift *= dt
                 drift += cur
                 nxt = xt[ell + 1]
-                nxt *= model.sigma(cur)
+                nxt *= model.sigma(cur) if constant is None else constant
                 nxt += drift
             block = xt[start + 1 : stop + 1]
             if not np.isfinite(block).all():
@@ -426,12 +437,7 @@ def drift_pair(model_id: int) -> tuple[Callable, Callable]:
 def make_model(model_id: int, sigma: float = 1.5, x0: float = 0.0) -> SdeModel:
     """Benchmark SDE model with constant diffusion (default 1.5)."""
     a, b = drift_pair(model_id)
-    sig = float(sigma)
-
-    def sigma_fn(x, _s=sig):
-        return np.full_like(np.asarray(x, dtype=float), _s)
-
-    return SdeModel(a=a, b=b, sigma=sigma_fn, x0=x0)
+    return SdeModel(a=a, b=b, sigma=ConstantSigma(float(sigma)), x0=x0)
 
 
 def explanatory_by_name(y_type: str, sigma_y: float = 2.0) -> ExplanatorySpec:

@@ -10,7 +10,7 @@ from cpls.estimator import (
     SingularDesignError,
     StabilityRule,
     evaluate_fit,
-    fit_leading_blocks,
+    fit_nested_pairs,
     fit_residuals,
     solve_constrained,
     stability_event,
@@ -130,26 +130,34 @@ def floor_gram(rng, k):
 @pytest.mark.parametrize("k", [*range(2, 79), 120, 200, 500])
 def test_cholesky_succeeds_on_every_gram_the_event_admits(k):
     # No fallback solver exists: a Gram that passes inv_opnorm's floor and
-    # has a diagonal of at most 2 always factorizes (Demmel's condition, see
-    # the cpls.estimator docstring), at every leading size.
+    # has a diagonal of at most 2 always factorizes, and so do its psi
+    # Schur complements (Demmel's condition, see the cpls.estimator
+    # docstring). Every pair of the system is fitted: with m1 = k - 1 the
+    # phi factor reaches size k - 1, with m1 = 1 a complement does, and up
+    # to the protocol's k = 78 the even split fits all m1 x m2 pairs.
     rng = np.random.default_rng(1000 + k)
     gram = floor_gram(rng, k)
     assert np.diag(gram).max() <= 2.0
     assert math.isfinite(inv_opnorm(gram))
-    m1 = k // 2
-    dvec = np.concatenate([np.zeros(m1), rng.standard_normal(k - m1)])
-    system = make_system(gram, rng.standard_normal(k), dvec, DimPair(m1, k - m1))
-    sizes = np.arange(1, k + 1)
-    theta, lam, gamma = fit_leading_blocks(system, sizes)
-    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
-    assert np.all(theta[np.arange(k)[:, None] >= sizes[None, :]] == 0.0)
+    zvec = rng.standard_normal(k)
+    splits = {1, k - 1} | ({k // 2} if k <= 78 else set())
+    for m1 in sorted(splits):
+        dvec = np.concatenate([np.zeros(m1), rng.standard_normal(k - m1)])
+        system = make_system(gram, zvec, dvec, DimPair(m1, k - m1))
+        coef, lam, gamma, _ = fit_nested_pairs(system, np.full(m1, k - m1))
+        assert np.all(np.isfinite(coef)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
+        cols = np.arange(k)
+        # entry [m1' - 1, m2' - 1, c] is padding past m1' in the a-part or past m2' in the b-part
+        padding = ((cols >= np.arange(1, m1 + 1)[:, None, None]) & (cols < m1)) | (
+            cols >= m1 + np.arange(1, k - m1 + 1)[:, None])
+        assert np.all(coef[padding] == 0.0)
 
 
 def test_failed_factorization_raises():
     gram = np.diag([1.0, 1.0, -1.0])
     sys = make_system(gram, np.ones(3), np.array([0.0, 0.0, 1.0]), DimPair(2, 1))
     with pytest.raises(SingularDesignError, match="Cholesky"):
-        fit_leading_blocks(sys, [3])
+        fit_nested_pairs(sys, [1, 1])
 
 
 class TestOracleEquivalence:

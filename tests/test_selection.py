@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, sup_norm_bound
-from cpls.design import DesignSystem, DimPair, build_design
+from cpls.design import DesignSystem, DimPair, build_design, subsystem
 from cpls.estimator import (
     FitResult,
     SingularDesignError,
     StabilityRule,
-    fit_leading_blocks,
-    leading_block_residuals,
+    fit_nested_pairs,
     stability_event,
 )
 from cpls.experiments import QuantileBox, mse_box, quantile_box, rep_seed
@@ -39,7 +39,7 @@ from cpls.simulate import (
 )
 
 from conftest import make_sample
-from oracles import box_errors_by_quadrature, scan_from_fits, scan_pairwise
+from oracles import box_errors_by_quadrature, pair_residuals, scan_from_fits, scan_pairwise
 
 
 def small_config(**kw):
@@ -125,8 +125,6 @@ class TestSelectAdaptive:
         cfg = small_config()
         scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, cfg)
         assert scan.admissible.any()
-        from cpls.design import subsystem
-
         for i, j in zip(*np.nonzero(scan.admissible)):
             fit = scan.fit_at(i + 1, j + 1)
             sub = subsystem(scan.design, fit.dims)
@@ -357,15 +355,19 @@ def test_residual_maxima_collected(bench_sample):
 
 # --- the scan against the pair-by-pair reference --------------------------
 #
-# The scan decides the admissible set from its frontier and fits each m1's
-# pairs from one Cholesky factor; tests/oracles.py keeps the pair-by-pair
-# loop (a stability event and a dense LU solve for every pair). The
-# admissible sets must be equal. The fits are two roundings of one closed
-# form: an admissible block here can have a condition number up to about
-# 1e8, and theta = u - ratio * v can cancel, so over 3000 random cases the
-# two differed by up to 3.4e-9 of max|theta|, 6.6e-9 in gamma (relative)
-# and 2.3e-9 in a residual maximum. A wrong block, a missed zeroing or a
-# dropped constraint moves them by order 1, far outside these tolerances.
+# The scan decides the admissible set from its frontier and fits every pair
+# from one factor of the phi block and a stacked factor of the psi Schur
+# complements; tests/oracles.py keeps the pair-by-pair loop (a stability
+# event and a dense LU solve for every pair). The admissible sets must be
+# equal. The fits are two roundings of one closed form: an admissible
+# block here can have a condition number up to about 1e8, and theta =
+# u - ratio * v can cancel. Over 9000 random cases drawn as these tests
+# draw them, the two differed by up to 2.0e-7 of max|theta|, 3.2e-7 in
+# gamma (relative) and 8.9e-8 in a residual maximum, all on near-singular
+# blocks; a solver with one Cholesky factor per m1 and a refinement step
+# differed by up to 1.3e-7, 2.6e-7 and 4.4e-8 on the same cases. A wrong
+# block, a missed zeroing or a dropped constraint moves them by order 1,
+# far outside these tolerances.
 
 THETA_RTOL = 1e-6
 RESIDUAL_ATOL = 1e-7
@@ -378,7 +380,8 @@ def synthetic_design(rng, m1, m2, dependent=None, d_kind="hermite", noise=1e-9):
     of the members before it, up to ``noise``: every block holding it and
     its predecessors is numerically singular and fails the stability event.
     ``d_kind`` picks the constraint vector: "hermite" (odd psi members
-    integrate to zero), "dense" or "zero".
+    integrate to zero), "dense", "zero" (all three zero on the phi entries)
+    or "full" (nonzero on the phi entries too).
     """
     k = m1 + m2
     # members of unequal size, so that the smallest eigenvalue falls with k
@@ -393,11 +396,12 @@ def synthetic_design(rng, m1, m2, dependent=None, d_kind="hermite", noise=1e-9):
         delta[1::2] = 0.0
     elif d_kind == "zero":
         delta[:] = 0.0
+    on_phi = rng.standard_normal(m1) if d_kind == "full" else np.zeros(m1)
     return DesignSystem(
         dims=DimPair(m1, m2),
         gram=gram,
         zvec=rng.standard_normal(k) / 10,
-        dvec=np.concatenate([np.zeros(m1), delta]),
+        dvec=np.concatenate([on_phi, delta]),
         t_norm=1.0,
     )
 
@@ -428,7 +432,7 @@ dims_strategy = st.tuples(st.integers(1, 7), st.integers(1, 7))
     seed=st.integers(0, 2**32 - 1),
     log_cutoff=st.floats(-1.0, 4.0),
     log_n=st.floats(0.5, 6.0),
-    d_kind=st.sampled_from(["hermite", "dense", "zero"]),
+    d_kind=st.sampled_from(["hermite", "dense", "zero", "full"]),
 )
 def test_scan_matches_reference_practical_rule(dims, seed, log_cutoff, log_n, d_kind):
     # cutoffs and path counts around the eigenvalues of the generated Grams,
@@ -459,7 +463,7 @@ def test_scan_matches_reference_theoretical_rule(dims, seed, log_n, r, bases):
     dims=dims_strategy,
     seed=st.integers(0, 2**32 - 1),
     dependent=st.integers(0, 13),
-    d_kind=st.sampled_from(["hermite", "dense", "zero"]),
+    d_kind=st.sampled_from(["hermite", "dense", "zero", "full"]),
 )
 def test_scan_matches_reference_near_singular(dims, seed, dependent, d_kind):
     # the largest block (and every block holding the dependent member) fails
@@ -470,6 +474,16 @@ def test_scan_matches_reference_near_singular(dims, seed, dependent, d_kind):
     scan = assert_scan_matches_reference(design, 1000, config)
     if 0 < dependent < m1 + m2:
         assert not scan.admissible[m1 - 1, m2 - 1]
+
+
+@pytest.mark.parametrize("d_kind", ["full", "zero"])
+def test_scan_matches_reference_on_the_staircase(d_kind):
+    # A constraint vector that is nonzero on the phi entries, or zero
+    # everywhere, on designs whose admissible set is a proper staircase.
+    for seed in range(8):
+        design = synthetic_design(np.random.default_rng(seed), 6, 7, dependent=9, d_kind=d_kind)
+        scan = assert_scan_matches_reference(design, 400, SelectionConfig())
+        assert 0 < scan.admissible.sum() < scan.admissible.size
 
 
 def test_frontier_walk_calls_the_event_at_most_m1_plus_m2_times(monkeypatch):
@@ -587,18 +601,42 @@ def mc_corner_design():
 
 
 def test_leading_blocks_of_the_mc_corner_design():
-    # Every leading block of the 78 x 78 corner system, from one factor and
-    # its inverse: the padding stays exactly zero and each fit meets its
-    # KKT identity, on a Gram whose larger blocks are near singular.
+    # Every pair of the 39 x 39 corner system, from one factor of the phi
+    # block and one stacked factor of the psi complements: the padding stays
+    # exactly zero and each fit meets its constraint and KKT identities, on
+    # a Gram whose larger blocks are near singular.
     design = mc_corner_design()
-    sizes = np.arange(1, design.size + 1)
-    theta, lam, gamma = fit_leading_blocks(design, sizes)
-    below = np.arange(design.size)[:, None] >= sizes[None, :]
-    assert np.all(theta[below] == 0.0)
-    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(gamma))
-    residuals = leading_block_residuals(design, theta, lam, sizes)
-    assert residuals["kkt"].max() <= 1e-8
-    assert residuals["constraint"].max() <= 1e-8
+    big = design.dims
+    coef, lam, gamma, max_res = fit_nested_pairs(design, np.full(big.m1, big.m2))
+    assert np.all(np.isfinite(coef)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(gamma))
+    cols = np.arange(design.size)
+    for m1 in range(1, big.m1 + 1):
+        for m2 in range(1, big.m2 + 1):
+            row = coef[m1 - 1, m2 - 1]
+            assert np.all(row[(cols >= m1) & (cols < big.m1)] == 0.0)
+            assert np.all(row[big.m1 + m2 :] == 0.0)
+            sub = subsystem(design, DimPair(m1, m2))
+            theta = np.concatenate([row[:m1], row[big.m1 : big.m1 + m2]])
+            res = pair_residuals(sub.gram, sub.zvec, sub.dvec, theta, lam[m1 - 1, m2 - 1])
+            assert res["kkt"] <= 1e-8 and res["constraint"] <= 1e-8
+    assert max_res["kkt"] <= 1e-8 and max_res["constraint"] <= 1e-8
+
+
+def test_scan_temporaries_bounded():
+    # Besides the coefficient array it returns (M1 x M2 x (M1 + M2) floats),
+    # the scan holds at most two stacks of the psi complements (M1 x M2 x M2
+    # each, together the size of that array) and per-m1 rows. A temporary
+    # with a row per pair and coordinate, such as G theta of every fit at
+    # once, would take the peak above 3x that array.
+    design = mc_corner_design()
+    tracemalloc.start()
+    try:
+        scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.admissible.all()
+    assert peak <= 2.5 * scan.coef.nbytes
 
 
 _THREAD_CHILD = """

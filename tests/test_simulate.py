@@ -239,6 +239,22 @@ class TestGenerateSample:
                     np.testing.assert_array_equal(s.y[i], y_i)
                     np.testing.assert_array_equal(s.x[i], x_i)
 
+    def test_constant_sigma_equals_a_function_of_x(self):
+        # Bitwise, on every benchmark (model, Y) pair: the Euler step's
+        # multiplication by make_model's constant sigma gives the samples of
+        # the same sigma passed as an arbitrary function of x.
+        grid = GridSpec(n_steps=60, dt=0.05, drop_first=3)
+        for model_id in sim.DRIFT_PAIRS:
+            model = sim.make_model(model_id)
+            assert isinstance(model.sigma, sim.ConstantSigma)
+            general = SdeModel(a=model.a, b=model.b, sigma=lambda x: np.full(x.shape, 1.5))
+            for y_type in sim.Y_TYPES:
+                spec = sim.explanatory_by_name(y_type)
+                fast = sim.generate_sample(model, spec, grid, 37, seed=5)
+                slow = sim.generate_sample(general, spec, grid, 37, seed=5)
+                np.testing.assert_array_equal(_bits(fast.x), _bits(slow.x))
+                np.testing.assert_array_equal(_bits(fast.y), _bits(slow.y))
+
     def test_sample_is_immutable(self):
         grid = GridSpec(n_steps=10, dt=0.1, drop_first=0)
         model = sim.make_model(2)
