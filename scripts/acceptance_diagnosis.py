@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from cpls.bases import HERMITE, eval_matrix
+from cpls.bases import HERMITE, eval_matrix, simpson_grid
 from cpls.estimator import evaluate_fit
 from cpls.experiments import (
     MSE_NODES,
@@ -47,7 +47,6 @@ from cpls.experiments import (
     run_cells,
     worker_pool,
 )
-from cpls.quadrature import simpson_grid
 from cpls.selection import (
     SCAN_BOUND,
     DimensionScan,

@@ -22,13 +22,18 @@ Every CSV (the tables, the beams and the dumped design) must be
 byte-identical, and every meta JSON file equal apart from ``wall_s``, the
 one timing they hold. The script prints one line per file and exits with
 status 1 if any file differs or is written by one checkout only. For a file
-that differs it also prints the largest relative difference over its float
-cells (JSON values), and every other differing cell (value): a dimension,
-``failed`` or ``truncated`` cell, a NaN against a number, or a key that one
-side lacks. So a change that states a tolerance instead of keeping every
-byte reads that tolerance off this script. Given one checkout twice
-(``python scripts/compare_outputs.py . .``), it checks that reruns write
-the same bytes, as CI does.
+that differs it also prints two figures over its differing float cells
+(JSON values, lists and objects unpacked): the largest relative difference,
+and the largest difference scaled by the largest |value| in the cell's
+column (for JSON, in its top-level key). The second has the column's scale
+as its floor, so a coefficient that is 0 in exact arithmetic, printed as 0
+by one side and 1e-18 by the other, reads as 1e-18 of its column and not
+as 1 relative. It then lists every other differing cell (value): a
+dimension, ``failed`` or ``truncated`` cell, a NaN against a number, or a
+key that one side lacks. So a change that states a tolerance instead of
+keeping every byte reads that tolerance off this script. Given one checkout
+twice (``python scripts/compare_outputs.py . .``), it checks that reruns
+write the same bytes, as CI does.
 """
 
 from __future__ import annotations
@@ -90,25 +95,54 @@ def _float(value) -> float | None:
     return float(value)
 
 
-def _differences(pairs) -> str:
-    """How the differing ``(where, x, y)`` pairs differ: the largest relative
-    difference over those that are both finite floats, and the others."""
-    worst, where_worst, others = 0.0, None, []
-    for where, x, y in pairs:
+def _column_scales(cells) -> dict:
+    """The largest |value| over the finite float cells of each column, from
+    ``(column, value)`` pairs."""
+    scales: dict = {}
+    for column, value in cells:
+        f = _float(value)
+        if f is not None:
+            scales[column] = max(scales.get(column, 0.0), abs(f))
+    return scales
+
+
+def _differences(pairs, scales: dict) -> str:
+    """How the differing ``(where, column, x, y)`` pairs differ: over those
+    that are both finite floats, the largest relative difference and the
+    largest difference scaled by ``scales[column]``; then the others."""
+    rel = col = (0.0, None)
+    others = []
+    for where, column, x, y in pairs:
         fx, fy = _float(x), _float(y)
         if fx is None or fy is None or (_is_integer(x) and _is_integer(y)):
             others.append(f"\n    {where}: {x!r} != {y!r}")
             continue
-        scale = max(abs(fx), abs(fy))
-        rel = abs(fx - fy) / scale if scale else 0.0
-        if rel > worst or where_worst is None:
-            worst, where_worst = rel, where
+        diff = abs(fx - fy)
+        # scales[column] >= max(|fx|, |fy|), so neither scale is 0 when diff is not.
+        sizes = (diff / max(abs(fx), abs(fy)), diff / scales[column]) if diff else (0.0, 0.0)
+        if rel[1] is None or sizes[0] > rel[0]:
+            rel = (sizes[0], where)
+        if col[1] is None or sizes[1] > col[0]:
+            col = (sizes[1], where)
     how = f"{len(pairs)} value(s) differ"
-    if where_worst is not None:
-        how += f"; float values by at most {worst:.2g} relative ({where_worst})"
+    if rel[1] is not None:
+        how += (f"; float values by at most {rel[0]:.2g} relative ({rel[1]}) and "
+                f"{col[0]:.2g} of their column's largest |value| ({col[1]})")
     if others:
         how += f"; {len(others)} other(s):" + "".join(others)
     return how
+
+
+def _leaves(value, where: str):
+    """``(where, value)`` of every scalar in a JSON value, lists and objects unpacked."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{where}[{i}]")
+    else:
+        yield where, value
 
 
 def compare(a: Path, b: Path) -> tuple[bool, str]:
@@ -118,12 +152,16 @@ def compare(a: Path, b: Path) -> tuple[bool, str]:
         for meta in (meta_a, meta_b):
             for key in TIMING_KEYS:
                 meta.pop(key, None)
-        pairs = [(key, meta_a.get(key, ABSENT), meta_b.get(key, ABSENT))
-                 for key in sorted(meta_a.keys() | meta_b.keys())]
-        pairs = [pair for pair in pairs if pair[1] != pair[2]]
+        pairs, cells = [], []
+        for key in sorted(meta_a.keys() | meta_b.keys()):
+            leaves_a, leaves_b = (dict(_leaves(meta.get(key, ABSENT), key)) for meta in (meta_a, meta_b))
+            cells += [(key, value) for leaves in (leaves_a, leaves_b) for value in leaves.values()]
+            pairs += [(where, key, leaves_a.get(where, ABSENT), leaves_b.get(where, ABSENT))
+                      for where in [*leaves_a, *(w for w in leaves_b if w not in leaves_a)]]
+        pairs = [pair for pair in pairs if pair[2] != pair[3]]
         if not pairs:
             return True, f"equal apart from {', '.join(TIMING_KEYS)}"
-        return False, _differences(pairs)
+        return False, _differences(pairs, _column_scales(cells))
     if a.read_bytes() == b.read_bytes():
         return True, "byte-identical"
     rows_a, rows_b = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
@@ -131,12 +169,13 @@ def compare(a: Path, b: Path) -> tuple[bool, str]:
         return False, f"{len(rows_a)} rows against {len(rows_b)}, or rows of other lengths"
     header = rows_a[0] if all(_float(c) is None for c in rows_a[0]) and rows_a[0] == rows_b[0] else None
     pairs = [
-        (f"line {n}, {header[j] if header else f'column {j + 1}'}", x, y)
+        (f"line {n}, {header[j] if header else f'column {j + 1}'}", j, x, y)
         for n, (row_a, row_b) in enumerate(zip(rows_a, rows_b), 1)
         for j, (x, y) in enumerate(zip(row_a, row_b))
         if x != y
     ]
-    return False, _differences(pairs)
+    scales = _column_scales((j, cell) for row in rows_a + rows_b for j, cell in enumerate(row))
+    return False, _differences(pairs, scales)
 
 
 def main() -> int:

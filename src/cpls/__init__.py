@@ -56,7 +56,6 @@ from .simulate import (
     SdeModel,
     SimulationError,
     YKind,
-    drift_pair,
     explanatory_by_name,
     generate_sample,
     make_model,

@@ -16,6 +16,9 @@ Four families are supported, each orthonormal in L2 of its support:
 Outside its support a family evaluates to zero (indicator convention).
 Evaluation uses stable normalized recurrences throughout; the classical
 polynomial definitions overflow long before k = 200.
+
+Every integral-type diagnostic of the package (orthonormality checks, box
+MSEs, oracle criteria) uses the fixed-grid Simpson rule :func:`simpson_grid`.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .quadrature import simpson_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -225,6 +226,24 @@ def sup_norm_bound(family: BasisFamily, m: int) -> float:
     """Upper bound (Hermite: dense-grid estimate) of sup_x sum_{j<=m} phi_j(x)^2."""
     m = _check_m(m)
     return _sup_norm_bound_cached(family.kind, m)
+
+
+def simpson_grid(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return nodes and weights of the composite Simpson rule on [a, b].
+
+    ``n_nodes`` must be odd and at least 3 (an even number of subintervals).
+    ``sum(w * f(x))`` then approximates the integral of ``f`` over ``[a, b]``.
+    """
+    if n_nodes < 3 or n_nodes % 2 == 0:
+        raise ValueError(f"n_nodes must be odd and >= 3, got {n_nodes}")
+    if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
+        raise ValueError(f"invalid interval [{a}, {b}]")
+    x = np.linspace(a, b, n_nodes)
+    h = (b - a) / (n_nodes - 1)
+    w = np.full(n_nodes, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return x, w * (h / 3.0)
 
 
 # Truncation of unbounded supports: wide enough that every member up to

@@ -245,6 +245,8 @@ _REP_HEADER = [
 def _cmd_experiment(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _experiment_config(settings)
+    if settings["curves"] < 0:
+        raise ValueError(f"curves must be >= 0, got {settings['curves']}")
     out = _out_dir(args)
     start = time.perf_counter()
     report = run_experiment(

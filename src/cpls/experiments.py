@@ -27,10 +27,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bases import BasisFamily, HERMITE
+from .bases import BasisFamily, HERMITE, simpson_grid
 from .design import DesignSystem, DimPair, build_prefix_designs
 from .estimator import FitResult, evaluate_fit
-from .quadrature import simpson_grid
 from .selection import (
     MSE_NODES,
     DimensionScan,
@@ -349,6 +348,8 @@ def run_cells(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = [tuple(cell) for cell in cells]
     config = config or ExperimentConfig()
     for model_id, y_type, n_paths in cells:

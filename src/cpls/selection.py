@@ -59,12 +59,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, eval_rows
+from .bases import BasisFamily, eval_rows, simpson_grid
 from .design import DesignSystem, DimPair, build_design, subsystem
 from .estimator import FitResult, StabilityRule, fit_nested_pairs, stability_event
 # Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these two bindings.
 from .estimator import fit_residuals, solve_constrained
-from .quadrature import simpson_grid
 from .simulate import PathSample, SdeModel
 
 #: Simpson nodes per axis of every box-error integral (oracle criterion, box MSE).

@@ -3,14 +3,14 @@
 Generates N independent discretized path pairs (X^i, Y^i) on a uniform time
 grid. X follows the explicit Euler scheme for
 ``dX = (a(X) + b(Y)) dt + sigma(X) dW1``; Y is simulated first from an
-independent Brownian motion W2, via one of three mechanisms:
+independent Brownian motion W2, as one of the two processes of the
+benchmark protocol:
 
-* ``poly-bm``      -- Y_t = sigma_y * W2(t) * (1 + W2(t)^2)
-* ``ou``           -- Y = sigma_y * U with U an Ornstein-Uhlenbeck process
-                      (drift -rate/2 * U, diffusion gamma/2), simulated with
-                      the exact transition and a stationary start
-* ``transformed``  -- Y_t = g(H_t), H the Ito integral of a deterministic
-                      h against W2 (left-point discretization)
+* ``poly-bm``  -- Y_t = sigma_y * W2(t) * (1 + W2(t)^2)
+* ``ou``       -- Y = sigma_y * U with U an Ornstein-Uhlenbeck process
+                  (drift -rate/2 * U, diffusion gamma/2, with rate
+                  ``OU_RATE`` and gamma ``OU_GAMMA``), simulated with the
+                  exact transition and a stationary start
 
 Per-path randomness comes from child streams of ``numpy.random.SeedSequence``
 spawned from the master seed and the path index, so samples are reproducible
@@ -54,7 +54,6 @@ class SimulationError(RuntimeError):
 class YKind(enum.Enum):
     POLYNOMIAL_BM = "poly-bm"
     ORNSTEIN_UHLENBECK = "ou"
-    TRANSFORMED_ITO = "transformed"
 
 
 _PROBE = np.linspace(-20.0, 20.0, 81)
@@ -111,20 +110,10 @@ class ExplanatorySpec:
 
     kind: YKind
     sigma_y: float = 2.0
-    ou_rate: float = 2.0
-    ou_gamma: float = 1.0
-    g: Callable[[np.ndarray], np.ndarray] | None = None
-    h: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma_y) and self.sigma_y > 0):
             raise ValueError(f"sigma_y must be finite and positive, got {self.sigma_y!r}")
-        if self.kind is YKind.ORNSTEIN_UHLENBECK:
-            if not (self.ou_rate > 0 and self.ou_gamma > 0):
-                raise ValueError("Ornstein-Uhlenbeck requires ou_rate > 0 and ou_gamma > 0")
-        if self.kind is YKind.TRANSFORMED_ITO:
-            if self.g is None or self.h is None:
-                raise ValueError("transformed kind requires both g and h")
 
 
 @dataclass(frozen=True)
@@ -246,6 +235,11 @@ def path_seeds(seed: int, n_paths: int) -> list[tuple[int, int]]:
     return list(zip(y_seeds.tolist(), x_seeds.tolist()))
 
 
+#: Rate and gamma of the Ornstein-Uhlenbeck process U of Y type (B).
+OU_RATE = 2.0
+OU_GAMMA = 1.0
+
+
 def _ou_coefficients(rate: float, gamma: float, dt: float) -> tuple[float, float, float]:
     """Exact one-step decay, one-step noise sd, and stationary sd of U."""
     decay = math.exp(-0.5 * rate * dt)
@@ -292,7 +286,7 @@ def _simulate_y_batch(spec: ExplanatorySpec, grid: GridSpec, seeds: Sequence[int
     n = grid.n_steps
     out = np.empty((len(seeds), n + 1))
     if spec.kind is YKind.ORNSTEIN_UHLENBECK:
-        decay, step_sd, stat_sd = _ou_coefficients(spec.ou_rate, spec.ou_gamma, grid.dt)
+        decay, step_sd, stat_sd = _ou_coefficients(OU_RATE, OU_GAMMA, grid.dt)
         # Draw 0 is the stationary start, draws 1..n the steps; the path
         # replaces its noise in place, stepped time-major.
         _normals(seeds, n + 1, out=out)
@@ -303,21 +297,16 @@ def _simulate_y_batch(spec: ExplanatorySpec, grid: GridSpec, seeds: Sequence[int
             u[ell + 1] += decay * u[ell]
         np.multiply(u.T, spec.sigma_y, out=out)
     else:
-        # The n increments of W2, summed in place into W2 (or H) at 1..n.
+        # The n increments of W2, summed in place into W2 at 1..n, then
+        # sigma_y * W * (1 + W^2).
         out[:, 0] = 0.0
         dw = _normals(seeds, n, out=out[:, 1:])
         dw *= math.sqrt(grid.dt)
-        if spec.kind is YKind.POLYNOMIAL_BM:
-            np.cumsum(dw, axis=1, out=dw)
-            # sigma_y * W * (1 + W^2)
-            poly = out * out
-            poly += 1.0
-            out *= spec.sigma_y
-            out *= poly
-        else:
-            dw *= np.asarray(spec.h(grid.times()[:-1]), dtype=float)
-            np.cumsum(dw, axis=1, out=dw)
-            out = np.asarray(spec.g(out), dtype=float)
+        np.cumsum(dw, axis=1, out=dw)
+        poly = out * out
+        poly += 1.0
+        out *= spec.sigma_y
+        out *= poly
     if not np.isfinite(out).all():
         i = int(np.argwhere(~np.isfinite(out))[0, 0])
         raise SimulationError(f"explanatory path {i} became non-finite", path=i)
@@ -418,32 +407,23 @@ def _b3(y):
 #: The benchmark drift pair (a, b) of each model id.
 DRIFT_PAIRS = {1: (_a1, _b1), 2: (_a2, _b2), 3: (_a3, _b3)}
 
-#: The explanatory process of each benchmark Y type: its kind and parameters
-#: other than ``sigma_y``.
-Y_TYPES = {
-    "A": {"kind": YKind.POLYNOMIAL_BM},
-    "B": {"kind": YKind.ORNSTEIN_UHLENBECK, "ou_rate": 2.0, "ou_gamma": 1.0},
-}
-
-
-def drift_pair(model_id: int) -> tuple[Callable, Callable]:
-    """The benchmark drift pair (a, b) of a model id in ``DRIFT_PAIRS``."""
-    try:
-        return DRIFT_PAIRS[int(model_id)]
-    except (KeyError, ValueError):
-        raise ValueError(f"unknown model id {model_id!r}; choose from {sorted(DRIFT_PAIRS)}") from None
+#: The explanatory process kind of each benchmark Y type.
+Y_TYPES = {"A": YKind.POLYNOMIAL_BM, "B": YKind.ORNSTEIN_UHLENBECK}
 
 
 def make_model(model_id: int, sigma: float = 1.5, x0: float = 0.0) -> SdeModel:
-    """Benchmark SDE model with constant diffusion (default 1.5)."""
-    a, b = drift_pair(model_id)
+    """Benchmark SDE model: ``DRIFT_PAIRS[model_id]`` with constant diffusion (default 1.5)."""
+    try:
+        a, b = DRIFT_PAIRS[int(model_id)]
+    except (KeyError, ValueError):
+        raise ValueError(f"unknown model id {model_id!r}; choose from {sorted(DRIFT_PAIRS)}") from None
     return SdeModel(a=a, b=b, sigma=ConstantSigma(float(sigma)), x0=x0)
 
 
 def explanatory_by_name(y_type: str, sigma_y: float = 2.0) -> ExplanatorySpec:
     """Explanatory process (A) = polynomial of BM, (B) = Ornstein-Uhlenbeck."""
     try:
-        params = Y_TYPES[str(y_type).upper()]
+        kind = Y_TYPES[str(y_type).upper()]
     except KeyError:
         raise ValueError(f"unknown explanatory type {y_type!r}; choose from {sorted(Y_TYPES)}") from None
-    return ExplanatorySpec(sigma_y=sigma_y, **params)
+    return ExplanatorySpec(kind=kind, sigma_y=sigma_y)

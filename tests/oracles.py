@@ -179,8 +179,7 @@ def box_errors_by_quadrature(scan, truth, bounds):
     QR factor instead. Returns two M1 x M2 arrays, NaN where a pair is not
     admissible.
     """
-    from cpls.bases import eval_matrix
-    from cpls.quadrature import simpson_grid
+    from cpls.bases import eval_matrix, simpson_grid
     from cpls.selection import MSE_NODES
 
     xg, wx = simpson_grid(bounds.a_x, bounds.b_x, MSE_NODES)

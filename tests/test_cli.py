@@ -294,6 +294,9 @@ class TestConfigHandling:
         # The stability event's budget N / log N needs two paths.
         (["experiment", "--n", "1"], "n_paths must be >= 2, got 1"),
         (["fit", "--n", "1"], "n_paths must be >= 2, got 1"),
+        (["experiment", "--threads", "0"], "workers must be >= 1, got 0"),
+        (["table1", "--threads", "-4"], "workers must be >= 1, got -4"),
+        (["experiment", "--curves", "-2"], "curves must be >= 0, got -2"),
     ]
 
     @pytest.mark.parametrize("args, message", _INVALID_SETTINGS,

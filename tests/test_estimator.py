@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpls.bases import HERMITE, TRIG, TRIG_NO_CONST, delta_vector, eval_matrix
+from cpls.bases import HERMITE, TRIG, TRIG_NO_CONST, delta_vector, eval_matrix, simpson_grid
 from cpls.design import EIG_THRESHOLD_PER_DIM, DesignSystem, DimPair, build_design, inv_opnorm
 from cpls.estimator import (
     FitResult,
@@ -15,7 +15,6 @@ from cpls.estimator import (
     solve_constrained,
     stability_event,
 )
-from cpls.quadrature import simpson_grid
 from cpls.simulate import GridSpec, explanatory_by_name, generate_sample, make_model
 
 from oracles import constrained_qp_nullspace, quadratic_objective

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, sup_norm_bound
+from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, simpson_grid, sup_norm_bound
 from cpls.design import DesignSystem, DimPair, build_design, subsystem
 from cpls.estimator import (
     FitResult,
@@ -20,7 +20,6 @@ from cpls.estimator import (
     stability_event,
 )
 from cpls.experiments import QuantileBox, mse_box, quantile_box, rep_seed
-from cpls.quadrature import simpson_grid
 from cpls.selection import (
     SelectionConfig,
     oracle_errors,

@@ -50,11 +50,7 @@ class TestSpecs:
 
     def test_explanatory_validation(self):
         with pytest.raises(ValueError):
-            ExplanatorySpec(kind=YKind.ORNSTEIN_UHLENBECK, ou_rate=-1.0)
-        with pytest.raises(ValueError):
             ExplanatorySpec(kind=YKind.POLYNOMIAL_BM, sigma_y=0.0)
-        with pytest.raises(ValueError):
-            ExplanatorySpec(kind=YKind.TRANSFORMED_ITO)
 
 
 class TestSimulateY:
@@ -95,7 +91,7 @@ class TestSimulateY:
         yb = sim._simulate_y_batch(spec, grid, seeds)
         u_prev, u_last = yb[:, -2], yb[:, -1]
         corr = np.corrcoef(u_prev, u_last)[0, 1]
-        target = math.exp(-0.5 * spec.ou_rate * grid.dt)
+        target = math.exp(-0.5 * sim.OU_RATE * grid.dt)
         # delta-method standard error of the correlation estimate
         se = (1 - target**2) / math.sqrt(100_000)
         assert abs(corr - target) < 3 * se
@@ -118,19 +114,6 @@ class TestSimulateY:
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
         assert step_sd**2 == pytest.approx(float(w @ kernel) * h / 3.0, abs=1e-12)
-
-    def test_transformed_ito(self):
-        grid = GridSpec(n_steps=30, dt=0.1, drop_first=0)
-        spec = ExplanatorySpec(
-            kind=YKind.TRANSFORMED_ITO,
-            sigma_y=1.0,
-            g=lambda u: u + np.arctan(u),
-            h=lambda t: np.asarray(t, dtype=float),
-        )
-        y = sim._simulate_y_batch(spec, grid, [2])[0]
-        dw = np.random.default_rng(2).standard_normal(30) * math.sqrt(0.1)
-        hmat = np.concatenate([[0.0], np.cumsum(grid.times()[:-1] * dw)])
-        np.testing.assert_allclose(y, hmat + np.arctan(hmat), rtol=1e-12)
 
 
 class TestSimulateX:
@@ -316,11 +299,11 @@ class TestSeeding:
 
 
 def test_drift_pair_registry():
-    a2, b2 = sim.drift_pair(2)
-    assert a2(1.0) == pytest.approx(-0.75)
-    assert b2(1.0) == pytest.approx(0.5)
-    a3, b3 = sim.drift_pair(3)
-    assert a3(0.0) == pytest.approx(0.5)
-    assert b3(np.asarray([0.0]))[0] == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        sim.drift_pair(4)
+    model2 = sim.make_model(2)
+    assert model2.a(1.0) == pytest.approx(-0.75)
+    assert model2.b(1.0) == pytest.approx(0.5)
+    model3 = sim.make_model(3)
+    assert model3.a(0.0) == pytest.approx(0.5)
+    assert model3.b(np.asarray([0.0]))[0] == pytest.approx(0.0)
+    with pytest.raises(ValueError, match=r"^unknown model id 4; choose from \[1, 2, 3\]$"):
+        sim.make_model(4)
