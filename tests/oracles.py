@@ -1,5 +1,7 @@
 """Independent reference implementations used only by the test suite."""
 
+import math
+
 import numpy as np
 
 
@@ -205,3 +207,39 @@ def box_errors_by_quadrature(scan, truth, bounds):
         err_a[m1 - 1, :top] = np.einsum("i,ij->j", wx, ra * ra)
         err_b[m1 - 1, :top] = np.einsum("i,ij->j", wy, rb * rb)
     return err_a, err_b
+
+
+def hermite_rows_unflushed(m: int, x) -> np.ndarray:
+    """Hermite functions h_0 ... h_{m-1} by the plain recurrence, with no zero tail.
+
+    The operation order is that of ``cpls.bases``, so inside the tail cut the
+    values agree bit for bit; far out they are tiny, and subnormal until the
+    exponential underflows.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((m,) + x.shape)
+    rows[0] = np.exp(-0.5 * x * x) * math.pi ** -0.25
+    if m > 1:
+        rows[1] = math.sqrt(2.0) * x * rows[0]
+    for k in range(1, m - 1):
+        rows[k + 1] = x * math.sqrt(2.0 / (k + 1)) * rows[k] - rows[k - 1] * math.sqrt(k / (k + 1))
+    return rows
+
+
+def hermite_log10_max(m: int, x) -> np.ndarray:
+    """log10 of max_{k < m} |h_k(x)|, from a recurrence that cannot underflow.
+
+    The pair (h_{k-1}, h_k) is carried in units of 10**scale and renormalized
+    at every step, so no value leaves the normal range at any x.
+    """
+    x = np.asarray(x, dtype=float)
+    scale = -0.5 * x * x / math.log(10.0) - 0.25 * math.log10(math.pi)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    best = scale.copy()
+    with np.errstate(divide="ignore"):
+        for k in range(m - 1):
+            prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
+            size = np.maximum(np.abs(prev), np.abs(cur))
+            prev, cur, scale = prev / size, cur / size, scale + np.log10(size)
+            best = np.maximum(best, np.log10(np.abs(cur)) + scale)
+    return best

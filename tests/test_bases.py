@@ -7,6 +7,8 @@ import scipy.integrate
 from cpls import bases
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST
 
+from oracles import hermite_log10_max, hermite_rows_unflushed
+
 ALL_FAMILIES = [TRIG, TRIG_NO_CONST, LAGUERRE, HERMITE]
 SQRT2 = math.sqrt(2.0)
 
@@ -203,6 +205,24 @@ def test_hermite_derivative_recurrence():
         lhs = SQRT2 * deriv[:, j]
         rhs = math.sqrt(j) * mid[:, j - 1] - math.sqrt(j + 1) * mid[:, j + 1]
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
+
+
+@pytest.mark.parametrize("m", [1, 2, 39, 46, 100, 300, 1000])
+def test_hermite_zero_tail(m):
+    # Beyond max(x0, sqrt(2m + 1) + 17) every member is exactly zero, and a
+    # recurrence that cannot underflow puts every member below 1e-100 there;
+    # inside, the values are the plain recurrence's, bit for bit. Up to
+    # m = 45 the cut is x0, where h_0 = 2^-511.
+    cut = max(bases._HERMITE_TAIL, math.sqrt(2.0 * m + 1.0) + 17.0)
+    assert (cut == bases._HERMITE_TAIL) == (m <= 45)
+    assert math.pi ** -0.25 * math.exp(-0.5 * bases._HERMITE_TAIL ** 2) == pytest.approx(2.0 ** -511, rel=1e-12)
+    beyond = np.nextafter(cut, math.inf)
+    x = np.concatenate([np.linspace(-70.0, 70.0, 2801), [cut, -cut, beyond, -beyond]])
+    got = bases.eval_rows(HERMITE, m, x)
+    far = np.abs(x) > cut
+    assert np.all(got[:, far] == 0.0)
+    assert hermite_log10_max(m, x[far]).max() < -100.0
+    np.testing.assert_array_equal(got[:, ~far], hermite_rows_unflushed(m, x[~far]))
 
 
 def test_family_by_name_roundtrip():

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpls import design
+from cpls import bases, design
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_matrix, eval_rows
 from cpls.design import DimPair, build_design, build_prefix_designs, inv_opnorm, subsystem
 from cpls.simulate import GridSpec, PathSample
 
 from conftest import make_sample
-from oracles import design_pointwise, empirical_norm_sq
+from oracles import design_pointwise, empirical_norm_sq, hermite_rows_unflushed
 
 FAMILIES = [HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST]
 
@@ -250,19 +250,25 @@ def test_prefix_designs_at_the_benchmark_size():
         np.testing.assert_array_equal(system.zvec, ref.zvec)
 
 
-def _design_in_block_order(sample, phi, psi, dims, t_norm):
+def _design_in_block_order(sample, phi, psi, dims, t_norm, evaluate=eval_rows):
     # One thread, no reused buffer: each block's product added in block order.
+    # The block has the pass's zero rows below the k + 1 it needs, as the
+    # BLAS may sum an entry differently in a product of another row count.
+    # ``evaluate(family, m, x)`` gives the basis rows.
     lo, hi, n = sample.grid.drop_first, sample.grid.n_steps, sample.n_paths
     k = dims.total
+    padding = design._block_rows(k + 1) - (k + 1)
     sums = np.zeros((k + 1, k + 1))
     for start in range(0, n, design._PATH_BLOCK):
         rows = slice(start, start + design._PATH_BLOCK)
+        x = sample.x[rows, lo:hi].ravel()
         block = np.vstack([
-            eval_rows(phi, dims.m1, sample.x[rows, lo:hi].ravel()),
-            eval_rows(psi, dims.m2, sample.y[rows, lo:hi].ravel()),
+            evaluate(phi, dims.m1, x),
+            evaluate(psi, dims.m2, sample.y[rows, lo:hi].ravel()),
             np.diff(sample.x[rows, lo : hi + 1], axis=1).ravel(),
+            np.zeros((padding, x.size)),
         ])
-        sums += block @ block.T
+        sums += (block @ block.T)[: k + 1, : k + 1]
     gram = sample.grid.dt * sums[:k, :k] / (n * t_norm)
     return 0.5 * (gram + gram.T), sums[:k, k] / (n * t_norm)
 
@@ -282,6 +288,25 @@ def test_design_sums_blocks_in_order():
     dims = DimPair(39, 39)
     got = build_design(sample, HERMITE, HERMITE, dims)
     gram, zvec = _design_in_block_order(sample, HERMITE, HERMITE, dims, got.t_norm)
+    np.testing.assert_array_equal(got.gram, gram)
+    np.testing.assert_array_equal(got.zvec, zvec)
+
+
+def test_hermite_zero_tail_keeps_the_design_bits():
+    # About 30 % of a Y (A) sample lies beyond |y| = 26.6, where the plain
+    # Hermite recurrence gives subnormal-sized values and cpls.bases gives
+    # zeros; the 80-row design (79 rows padded) keeps the plain rows' bits.
+    from cpls.simulate import explanatory_by_name, generate_sample, make_model
+
+    sample = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), 400, seed=7)
+    lo, hi = sample.grid.drop_first, sample.grid.n_steps
+    assert np.mean(np.abs(sample.y[:, lo:hi]) > bases._HERMITE_TAIL) > 0.2
+    dims = DimPair(39, 39)
+    assert design._block_rows(dims.total + 1) == 80
+    got = build_design(sample, HERMITE, HERMITE, dims)
+    gram, zvec = _design_in_block_order(
+        sample, HERMITE, HERMITE, dims, got.t_norm, lambda family, m, x: hermite_rows_unflushed(m, x)
+    )
     np.testing.assert_array_equal(got.gram, gram)
     np.testing.assert_array_equal(got.zvec, zvec)
 
