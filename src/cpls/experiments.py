@@ -22,7 +22,7 @@ import contextlib
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,10 +36,11 @@ from .selection import (
     SelectionConfig,
     scan_bounds,
     scan_design,
-    scan_dimension_grid,
     select_adaptive_from_scan,
     select_oracle_from_scan,
 )
+# Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps this binding.
+from .selection import scan_dimension_grid
 from .simulate import (
     DRIFT_PAIRS,
     Y_TYPES,
@@ -213,54 +214,39 @@ class _RepTask:
 def _run_rep(task: _RepTask) -> list[RepRecord]:
     """One record per N of the task; any error inside a repetition is recorded, not raised.
 
-    With several N, one sample of the largest N, its quantile box and the
-    designs of every N (:func:`_shared_designs`) serve all of them. If that
-    shared step raises, say because a path beyond the smallest N diverged,
-    each N runs on its own, so the error reaches only the N whose own
-    sample meets it.
+    One sample of the largest N, its quantile box and the designs of every N
+    (:func:`_shared_designs`) serve all of them; the scan, the selection and
+    the box MSE then run per N, and an error there fails that N's record
+    only. A task of one N is the one-count case of the same path. If the
+    shared step of a task of several N raises, say because a path beyond the
+    smallest N diverged, each N reruns as a task of its own, so the error
+    reaches only the N whose own sample meets it; a task of one N records
+    the error.
     """
     seed = rep_seed(task.master_seed, task.rep)
-    if len(task.n_paths) > 1:
+    try:
+        model, box, designs = _shared_designs(task, seed)
+    except Exception as exc:
+        if len(task.n_paths) == 1:
+            return [_failed(task.rep, seed, exc)]
+        return [record for n in task.n_paths for record in _run_rep(replace(task, n_paths=(n,)))]
+    cfg = task.config
+    records = []
+    for n, design in zip(task.n_paths, designs):
         try:
-            model, box, designs = _shared_designs(task, seed)
-        except Exception:
-            pass  # each N reruns on its own below, and records what it meets
-        else:
-            cfg = task.config
-            return [
-                _recorded(task.rep, seed, lambda: _record(
-                    task.rep, seed, cfg, model, box,
-                    scan_design(design, n, cfg.phi, cfg.psi, cfg.selection),
-                ))
-                for n, design in zip(task.n_paths, designs)
-            ]
-    return [_recorded(task.rep, seed, lambda: _fit_rep(task, n, seed)) for n in task.n_paths]
+            scan = scan_design(design, n, cfg.phi, cfg.psi, cfg.selection)
+            records.append(_record(task.rep, seed, cfg, model, box, scan))
+        except Exception as exc:
+            records.append(_failed(task.rep, seed, exc))
+    return records
 
 
-def _recorded(rep: int, seed: int, fit) -> RepRecord:
-    """``fit()``, or a failed record holding ``error = "<class>: <message>"`` and no estimates.
+def _failed(rep: int, seed: int, exc: Exception) -> RepRecord:
+    """The record of a repetition that raised: ``error = "<class>: <message>"`` and no estimates.
 
     So one bad sample or degenerate box cannot abort a run.
     """
-    try:
-        return fit()
-    except Exception as exc:
-        return RepRecord(rep=rep, seed=seed, failed=True, error=f"{type(exc).__name__}: {exc}")
-
-
-def _sample(task: _RepTask, n_paths: int, seed: int) -> tuple[SdeModel, PathSample]:
-    cfg = task.config
-    model = make_model(task.model_id, sigma=cfg.sigma, x0=cfg.x0)
-    spec = explanatory_by_name(task.y_type, sigma_y=cfg.sigma_y)
-    return model, generate_sample(model, spec, cfg.grid, n_paths, seed)
-
-
-def _fit_rep(task: _RepTask, n_paths: int, seed: int) -> RepRecord:
-    cfg = task.config
-    model, sample = _sample(task, n_paths, seed)
-    box = quantile_box(sample)
-    scan = scan_dimension_grid(sample, cfg.phi, cfg.psi, cfg.selection)
-    return _record(task.rep, seed, cfg, model, box, scan)
+    return RepRecord(rep=rep, seed=seed, failed=True, error=f"{type(exc).__name__}: {exc}")
 
 
 def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, list[DesignSystem]]:
@@ -269,7 +255,9 @@ def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, l
     The sample is dropped on return; only the designs are kept.
     """
     cfg = task.config
-    model, sample = _sample(task, task.n_paths[-1], seed)
+    model = make_model(task.model_id, sigma=cfg.sigma, x0=cfg.x0)
+    spec = explanatory_by_name(task.y_type, sigma_y=cfg.sigma_y)
+    sample = generate_sample(model, spec, cfg.grid, task.n_paths[-1], seed)
     box = quantile_box(sample)
     bounds = scan_bounds(cfg.selection, task.n_paths[0])  # the same for every N of the task
     designs = build_prefix_designs(sample, cfg.phi, cfg.psi, bounds, task.n_paths, sample.grid.total_time)
@@ -334,22 +322,24 @@ def run_cells(
     same ``reps``, ``seed`` and ``config``, bit for bit; a report is yielded
     as soon as its cell's repetitions are done.
 
-    Cells that differ only in N share work. A repetition's seed does not
-    depend on N, and path i draws from the same streams for every N, so the
-    sample of size n is the first n paths of any larger one, and the
-    quantile box, taken from path 0, is the same. Cells of one (model,
-    Y type) whose scan rectangles ``min(max_m, N)`` agree therefore run as
-    one task per repetition: it simulates the largest N once, takes the box
-    once, and assembles every N's design in one pass, each checkpointed at
-    its path count (:func:`cpls.design.build_prefix_designs`). The designs
-    are bitwise those of standalone runs; scan, selection and box MSE then
-    run per N. Other cells run one task per repetition, as ``run_experiment``
-    does.
+    Every repetition runs one pipeline. A repetition's seed does not depend
+    on N, and path i draws from the same streams for every N, so the sample of
+    size n is the first n paths of any larger one, and the quantile box,
+    taken from path 0, is the same. Cells of one (model, Y type) whose scan
+    rectangles ``min(max_m, N)`` agree therefore run as one task per
+    repetition: it simulates the largest N once, takes the box once, and
+    assembles every N's design in one pass, each checkpointed at its path
+    count (:func:`cpls.design.build_prefix_designs`). The designs are
+    bitwise those of standalone runs; scan, selection and box MSE then run
+    per N. A cell that shares its rectangle with no other N is a task of
+    one N on the same path, as in ``run_experiment``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     cells = [tuple(cell) for cell in cells]
     config = config or ExperimentConfig()
     for model_id, y_type, n_paths in cells:

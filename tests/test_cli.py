@@ -297,6 +297,9 @@ class TestConfigHandling:
         (["experiment", "--threads", "0"], "workers must be >= 1, got 0"),
         (["table1", "--threads", "-4"], "workers must be >= 1, got -4"),
         (["experiment", "--curves", "-2"], "curves must be >= 0, got -2"),
+        # With two workers a pool would start before the first repetition.
+        (["experiment", "--seed", "-1", "--threads", "2"], "seed must be >= 0, got -1"),
+        (["table1", "--seed", "-1", "--threads", "2"], "seed must be >= 0, got -1"),
     ]
 
     @pytest.mark.parametrize("args, message", _INVALID_SETTINGS,
@@ -312,7 +315,11 @@ class TestConfigHandling:
         def no_sample(*args):
             raise AssertionError("a sample was simulated")
 
+        def no_pool(workers):
+            raise AssertionError("a pool started")
+
         monkeypatch.setattr(expmod, "_run_rep", no_repetition)
+        monkeypatch.setattr(expmod, "worker_pool", no_pool)
         monkeypatch.setattr(climod, "generate_sample", no_sample)
         # The probe's flags come last, so they override the fast settings.
         out = tmp_path / "out"

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from cpls.bases import HERMITE, TRIG, TRIG_NO_CONST
 from cpls.design import DimPair, build_design
@@ -23,7 +22,7 @@ from cpls.experiments import (
     summarize,
     worker_pool,
 )
-from cpls.selection import SelectionConfig
+from cpls.selection import SelectionConfig, scan_dimension_grid, select_adaptive, select_oracle_from_scan
 from cpls.simulate import GridSpec, SdeModel, explanatory_by_name, generate_sample, make_model
 
 from conftest import flaky_quantile_box, make_sample
@@ -106,7 +105,9 @@ class TestMseBox:
         exact_a = ((2.0 - 0.5) ** 3 - (-2.0 - 0.5) ** 3) / 3.0
         assert exact_a == pytest.approx(19.0 / 3.0)
         assert mse_a == pytest.approx(exact_a, rel=1e-10)
-        exact_b, _ = scipy.integrate.quad(lambda y: 0.25 * np.tanh(y) ** 2, -1.0, 1.0)
+        # int_{-1}^{1} tanh(y)^2 / 4 dy = (2 - 2 tanh 1) / 4
+        exact_b = 0.5 * (1.0 - math.tanh(1.0))
+        assert exact_b == pytest.approx(0.119202922022117, rel=1e-14)
         assert mse_b == pytest.approx(exact_b, rel=1e-8)
 
 
@@ -212,6 +213,24 @@ class TestRunExperiment:
         alone = run_experiment(2, "B", 12, 1, seed=6, config=tiny_config())
         assert_same_records(large.per_rep[:1], alone.per_rep)
 
+    def test_records_match_the_public_selectors(self):
+        # A repetition assembles and scans its design itself; its record is
+        # what the public selectors choose on the same sample.
+        cfg = tiny_config()
+        report = run_experiment(2, "B", 12, 2, seed=9, config=cfg)
+        model = make_model(2, sigma=cfg.sigma, x0=cfg.x0)
+        spec = explanatory_by_name("B", sigma_y=cfg.sigma_y)
+        for r, record in enumerate(report.per_rep):
+            sample = generate_sample(model, spec, cfg.grid, 12, rep_seed(9, r))
+            box = quantile_box(sample)
+            adaptive = select_adaptive(sample, cfg.phi, cfg.psi, cfg.selection)
+            oracle = select_oracle_from_scan(scan_dimension_grid(sample, cfg.phi, cfg.psi, cfg.selection),
+                                             model, box)
+            assert record.box == box
+            assert record.dims == adaptive.chosen and record.oracle_dims == oracle.chosen
+            np.testing.assert_array_equal(record.theta, adaptive.fit.theta)
+            np.testing.assert_array_equal(record.oracle_theta, oracle.fit.theta)
+
     def test_summary_recomputable_from_per_rep(self):
         report = run_experiment(2, "B", 10, 5, seed=9, config=tiny_config())
         fresh = summarize(report.per_rep)
@@ -269,20 +288,19 @@ class TestRunExperiment:
         import cpls.selection as selection
 
         clean = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
-        real_scan = expmod.scan_dimension_grid
+        real_scan = expmod.scan_design
         calls = []
 
-        def scan_failing_second(sample, phi, psi, config):
-            calls.append(sample)
-            if len(calls) != 2:
-                return real_scan(sample, phi, psi, config)
-            design = real_scan(sample, phi, psi, config).design
-            design.gram[-1, -1] = -1.0
-            with monkeypatch.context() as patch:
-                patch.setattr(selection, "stability_event", lambda *args: True)
-                return selection.scan_design(design, sample.n_paths, phi, psi, config)
+        def scan_failing_second(design, n_paths, phi, psi, config):
+            calls.append(design)
+            if len(calls) == 2:
+                design.gram[-1, -1] = -1.0
+                with monkeypatch.context() as patch:
+                    patch.setattr(selection, "stability_event", lambda *args: True)
+                    return real_scan(design, n_paths, phi, psi, config)
+            return real_scan(design, n_paths, phi, psi, config)
 
-        monkeypatch.setattr(expmod, "scan_dimension_grid", scan_failing_second)
+        monkeypatch.setattr(expmod, "scan_design", scan_failing_second)
         report = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
         assert len(calls) == 3
         bad = report.per_rep[1]
