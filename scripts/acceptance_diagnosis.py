@@ -42,6 +42,7 @@ from cpls.experiments import (
     TABLE1_CELLS,
     ExperimentConfig,
     QuantileBox,
+    mse_box,
     quantile_box,
     rep_seed,
     run_cells,
@@ -52,7 +53,6 @@ from cpls.selection import (
     DimensionScan,
     SelectionConfig,
     _select,
-    oracle_errors,
     scan_dimension_grid,
     select_adaptive_from_scan,
     select_oracle_from_scan,
@@ -183,8 +183,8 @@ def lead_rep(task: tuple[int, str, int, int, int]) -> dict:
     for bound in GRID_BOUNDS:
         scan = restrict(full, bound)
         adaptive = select_adaptive_from_scan(scan)
-        oracle = select_oracle_from_scan(scan, model, box)
-        err_a, err_b = oracle_errors(scan, model, box)
+        err_a, err_b = mse_box(scan, model, box)
+        oracle = select_oracle_from_scan(scan, err_a, err_b)
         row = {"m1": adaptive.chosen.m1, "m2": adaptive.chosen.m2,
                "on_bound": bound in (adaptive.chosen.m1, adaptive.chosen.m2),
                "oracle": (oracle.chosen.m1, oracle.chosen.m2)}

@@ -10,13 +10,17 @@ temporary directory):
 
 * ``cpls table1 --reps 2 --threads 2 --seed 7``
 * ``cpls experiment --model 2 --y A --n 400 --reps 4 --seed 3 --curves 2``
+* ``cpls experiment --model 3 --y B --n 200 --reps 3 --seed 3 --cutoff 1e-30
+  --curves 1``
 * ``cpls fit --model 3 --y B --n 400 --seed 2 --dump-design``
 * ``cpls fit --model 3 --y B --n 400 --seed 2 --basis-phi laguerre
   --basis-psi trig-noconst --stability theoretical --r 0.1 --dump-design``
 
-The last one runs what the protocol never does: the theoretical stability
-event, with the sup-norm bounds of both families, at every step of the
-staircase walk, the Laguerre rows and a zero constraint vector.
+The second experiment admits no pair, so every repetition is truncated and
+its MSE columns are the zero fit's box errors. The last command runs what
+the protocol never does: the theoretical stability event, with the sup-norm
+bounds of both families, at every step of the staircase walk, the Laguerre
+rows and a zero constraint vector.
 
 Every CSV (the tables, the beams and the dumped design) must be
 byte-identical, and every meta JSON file equal apart from ``wall_s``, the
@@ -52,6 +56,8 @@ COMMANDS = {
     "table1": ["table1", "--reps", "2", "--threads", "2", "--seed", "7"],
     "experiment": ["experiment", "--model", "2", "--y", "A", "--n", "400", "--reps", "4",
                    "--seed", "3", "--curves", "2"],
+    "experiment-truncated": ["experiment", "--model", "3", "--y", "B", "--n", "200", "--reps", "3",
+                             "--seed", "3", "--cutoff", "1e-30", "--curves", "1"],
     "fit": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2", "--dump-design"],
     "fit-theoretical": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2",
                         "--basis-phi", "laguerre", "--basis-psi", "trig-noconst",

@@ -53,6 +53,7 @@ from .simulate import (
     DRIFT_PAIRS,
     Y_TYPES,
     GridSpec,
+    check_seed,
     explanatory_by_name,
     generate_sample,
     make_model,
@@ -315,6 +316,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     model = make_model(settings["model"], sigma=settings["sigma"], x0=settings["x0"])
     spec = explanatory_by_name(settings["y"], sigma_y=settings["sigma_y"])
     scan_bounds(config.selection, settings["n"])  # rejects N < 2 before the simulation
+    check_seed(settings["seed"])
     sample = generate_sample(model, spec, config.grid, settings["n"], settings["seed"])
     scan = scan_dimension_grid(sample, config.phi, config.psi, config.selection)
     result = select_adaptive_from_scan(scan)

@@ -1,4 +1,4 @@
-"""Adaptive dimension selection and the truth-based oracle selector.
+"""Adaptive dimension selection and the oracle selector.
 
 Both selectors read one scan of the dimension pairs in
 [1, max_m1] x [1, max_m2] that pass the stability event. The projection
@@ -35,18 +35,10 @@ the first m1 phi and the first m2 psi members.
 The adaptive criterion is ``gamma + pen`` with ``gamma = -|fit|_N^2`` and
 ``pen = kappa * sigma_sq * (m1 + m2) / (N * T)``, T the full horizon. The
 oracle criterion is the box-restricted integrated squared error against the
-true drift pair, computable only when the truth is known. :func:`_select`
-takes the admissible pair of smallest key ``(criterion, m1 + m2, m1)``: ties
-break toward the smallest ``m1 + m2``, then the smallest ``m1``.
-
-The oracle's errors come from one QR factor per side of the box, not from a
-quadrature per fit. Factor the weighted Simpson-node matrix
-``sqrt(w) * [phi_1 .. phi_M | a]`` as QR once; as Q has orthonormal columns,
-a fit's error is ``|R [theta, 0, -1]|^2``, a sum of M + 1 squares. It can
-never be negative and cancels nothing, unlike the expanded form
-``theta' B theta - 2 theta' c + int a^2``, which was up to 6.0e-8 relative
-off on short boxes, where 39 Hermite functions are nearly dependent (the
-Y (B) cells of table 1). See :func:`oracle_errors`.
+true drift pair, computable only when the truth is known; its tables come
+from :func:`cpls.experiments.mse_box`. :func:`_select` takes the admissible
+pair of smallest key ``(criterion, m1 + m2, m1)``: ties break toward the
+smallest ``m1 + m2``, then the smallest ``m1``.
 """
 
 from __future__ import annotations
@@ -59,15 +51,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .bases import BasisFamily, eval_rows, simpson_grid
+from .bases import BasisFamily
 from .design import DesignSystem, DimPair, build_design, subsystem
 from .estimator import FitResult, StabilityRule, fit_nested_pairs, stability_event
 # Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these two bindings.
 from .estimator import fit_residuals, solve_constrained
-from .simulate import PathSample, SdeModel
-
-#: Simpson nodes per axis of every box-error integral (oracle criterion, box MSE).
-MSE_NODES = 2001
+from .simulate import PathSample
 
 #: Default scan bound for both dimensions: the smallest value at which no
 #: adaptive choice on the benchmark grid sits on the edge of the scan
@@ -297,69 +286,6 @@ def select_adaptive(
     return select_adaptive_from_scan(scan_dimension_grid(sample, phi, psi, config))
 
 
-def _box_factor(family: BasisFamily, m: int, lo: float, hi: float, truth) -> np.ndarray:
-    """R of the QR factor of ``sqrt(w) * [f_1(g) .. f_m(g) | truth(g)]``.
-
-    g and w are the Simpson nodes and weights of [lo, hi], and f_k the
-    members of ``family``. For any coefficients theta of length m,
-    ``|R @ [theta, -1]|^2`` is the Simpson error of ``sum_k theta_k f_k``
-    against ``truth``.
-    """
-    nodes, weights = simpson_grid(lo, hi, MSE_NODES)
-    rows = np.empty((m + 1, MSE_NODES))
-    eval_rows(family, m, nodes, out=rows[:m])
-    rows[m] = truth(nodes)
-    rows *= np.sqrt(weights)
-    return np.linalg.qr(rows.T, mode="r")
-
-
-def oracle_errors(scan: DimensionScan, truth: SdeModel, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Box-restricted squared errors (a-part, b-part) of every admissible pair, as M1 x M2 arrays.
-
-    The quadrature runs once per component, not once per fit. On the
-    Simpson nodes g (weights w) of one side of the box, :func:`_box_factor`
-    factors ``F = sqrt(w) * [phi_1(g) .. phi_M(g) | a(g)] = Q R`` with
-    orthonormal columns in Q, so ``|F v| = |R v|`` for every v. Name the
-    pieces of R: ``q = R[:M, M]`` is the truth column and ``rho = R[M, M]``
-    its last entry. A fit with m members is ``v = [theta, 0 .. 0, -1]``, and
-    its Simpson error ``sum w (sum_k theta_k phi_k - a)^2`` is
-
-        |R[:m, :m] theta - q[:m]|^2 + sum_{k >= m} q_k^2 + rho^2,
-
-    M + 1 squares per fit in place of 2001 nodes. Every term is a square, so
-    an error can never come out negative, and the sum cancels nothing. The
-    expanded normal-equation form ``theta' B theta - 2 theta' c + int a^2``
-    (B the box Gram matrix) was rejected: it takes a small error as the
-    difference of terms the size of ``int a^2``, and B has the square of
-    F's condition number. On short boxes, where 39 Hermite functions are
-    nearly dependent (the Y (B) cells), it was up to 6.0e-8 relative off the
-    node-by-node quadrature over 36 scans covering the 12 cells of table 1,
-    against 5.4e-12 for this form.
-
-    ``R v`` for every fit is one matrix product per component over the
-    admissible rows of ``scan.coef``, which already hold the padded ``v``;
-    the sums of squares are plain row sums (``einsum``, not a BLAS
-    product), so they do not depend on the BLAS thread count. The errors
-    are NaN where a pair is not admissible.
-    """
-    admissible = scan.admissible
-    err_a = np.full(admissible.shape, np.nan)
-    err_b = np.full(admissible.shape, np.nan)
-    if not admissible.any():
-        return err_a, err_b
-    big = scan.design.dims
-    r_a = _box_factor(scan.phi, big.m1, bounds.a_x, bounds.b_x, truth.a)
-    r_b = _box_factor(scan.psi, big.m2, bounds.a_y, bounds.b_y, truth.b)
-    coef = scan.coef[admissible]  # m1-major, one row per admissible pair
-    # R @ [theta, -1] for every fit at once, one product per component.
-    res_a = coef[:, : big.m1] @ r_a[:, :-1].T - r_a[:, -1]
-    res_b = coef[:, big.m1 :] @ r_b[:, :-1].T - r_b[:, -1]
-    err_a[admissible] = np.einsum("ji,ji->j", res_a, res_a)
-    err_b[admissible] = np.einsum("ji,ji->j", res_b, res_b)
-    return err_a, err_b
-
-
-def select_oracle_from_scan(scan: DimensionScan, truth: SdeModel, bounds) -> SelectionResult:
-    err_a, err_b = oracle_errors(scan, truth, bounds)
+def select_oracle_from_scan(scan: DimensionScan, err_a: np.ndarray, err_b: np.ndarray) -> SelectionResult:
+    """Minimize the box error ``err_a + err_b`` (M1 x M2 tables) over the admissible pairs."""
     return _select(scan, err_a + err_b, np.zeros(err_a.shape))
-

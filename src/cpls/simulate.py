@@ -217,6 +217,14 @@ def _state_words(pool: list, n_words: int) -> list[np.ndarray]:
     return [w[2 * k] | w[2 * k + 1] << 32 for k in range(n_words)]
 
 
+def check_seed(seed: int) -> int:
+    """The master seed as an int; raises ValueError when it is negative."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def path_seeds(seed: int, n_paths: int) -> list[tuple[int, int]]:
     """Derive one (Y-stream, X-stream) integer seed pair per path index.
 
@@ -225,9 +233,7 @@ def path_seeds(seed: int, n_paths: int) -> list[tuple[int, int]]:
     words of the master seed and once, as array arithmetic, over the path
     indices, which enter last as the one word of each child's spawn key.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = check_seed(seed)
     words = [seed >> 32 * k & _MASK32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
     words += [0] * (_POOL_SIZE - len(words))
     pool = _pool(words + [np.arange(n_paths, dtype=np.uint32)])

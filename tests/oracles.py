@@ -177,12 +177,12 @@ def box_errors_by_quadrature(scan, truth, bounds):
 
     Evaluates each fitted curve on the Simpson nodes of the box and sums the
     weighted squared residuals, one matrix product per m1 and component: the
-    direct definition that :func:`cpls.selection.oracle_errors` reads off a
+    direct definition that :func:`cpls.experiments.mse_box` reads off a
     QR factor instead. Returns two M1 x M2 arrays, NaN where a pair is not
     admissible.
     """
     from cpls.bases import eval_matrix, simpson_grid
-    from cpls.selection import MSE_NODES
+    from cpls.experiments import MSE_NODES
 
     xg, wx = simpson_grid(bounds.a_x, bounds.b_x, MSE_NODES)
     yg, wy = simpson_grid(bounds.a_y, bounds.b_y, MSE_NODES)

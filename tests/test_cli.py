@@ -300,6 +300,7 @@ class TestConfigHandling:
         # With two workers a pool would start before the first repetition.
         (["experiment", "--seed", "-1", "--threads", "2"], "seed must be >= 0, got -1"),
         (["table1", "--seed", "-1", "--threads", "2"], "seed must be >= 0, got -1"),
+        (["fit", "--seed", "-1"], "seed must be >= 0, got -1"),
     ]
 
     @pytest.mark.parametrize("args, message", _INVALID_SETTINGS,

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cpls.bases import HERMITE, TRIG, TRIG_NO_CONST
-from cpls.design import DimPair, build_design
-from cpls.estimator import FitResult, evaluate_fit
+from cpls.design import DesignSystem, DimPair, build_design
+from cpls.estimator import FitResult, StabilityRule, evaluate_fit
 from cpls.experiments import (
     ExperimentConfig,
     QuantileBox,
@@ -26,6 +26,7 @@ from cpls.selection import SelectionConfig, scan_dimension_grid, select_adaptive
 from cpls.simulate import GridSpec, SdeModel, explanatory_by_name, generate_sample, make_model
 
 from conftest import flaky_quantile_box, make_sample
+from oracles import scan_from_fits
 
 
 def assert_same_records(got, expected):
@@ -70,6 +71,20 @@ class TestQuantileBox:
         )
 
 
+def fits_scan(phi, psi, dims, fits):
+    """A scan of the rectangle ``dims`` holding ``fits`` (pair -> FitResult); no other pair is admissible."""
+    k = dims.total
+    design = DesignSystem(dims, np.eye(k), np.zeros(k), np.zeros(k), 1.0)
+    return scan_from_fits(design, phi, psi, 100, SelectionConfig(), fits)
+
+
+def a3_b3_box_integrals(box):
+    """Closed-form integrals of a3^2 = (x - 0.5)^2 and b3^2 = tanh(y)^2 / 4 over ``box``."""
+    int_a = ((box.b_x - 0.5) ** 3 - (box.a_x - 0.5) ** 3) / 3.0
+    int_b = 0.25 * ((box.b_y - math.tanh(box.b_y)) - (box.a_y - math.tanh(box.a_y)))
+    return int_a, int_b
+
+
 class TestMseBox:
     def test_perfect_fit_is_zero(self):
         # truth equal to the constant expansion of phi_1 on [0, 1]
@@ -79,10 +94,11 @@ class TestMseBox:
             sigma=lambda x: np.ones_like(x),
         )
         fit = FitResult(dims=DimPair(1, 1), theta=np.array([2.0, 0.0]))
-        box = QuantileBox(0.0, 1.0, 0.0, 1.0)
-        mse_a, mse_b = mse_box(fit, model, box, TRIG, TRIG_NO_CONST)
-        assert mse_a == pytest.approx(0.0, abs=1e-12)
-        assert mse_b == pytest.approx(0.0, abs=1e-12)
+        scan = fits_scan(TRIG, TRIG_NO_CONST, DimPair(1, 1), {fit.dims: fit})
+        err_a, err_b = mse_box(scan, model, QuantileBox(0.0, 1.0, 0.0, 1.0))
+        assert err_a.shape == err_b.shape == (1, 1)
+        assert err_a[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert err_b[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_gap_closed_form(self):
         # fitted constant c against zero truth over a length-L box: c^2 L
@@ -93,22 +109,23 @@ class TestMseBox:
             sigma=lambda x: np.ones_like(x),
         )
         fit = FitResult(dims=DimPair(1, 1), theta=np.array([c, 0.0]))
-        mse_a, _ = mse_box(fit, model, QuantileBox(lo, hi, 0.0, 1.0), TRIG, TRIG_NO_CONST)
-        assert mse_a == pytest.approx(c * c * (hi - lo), abs=1e-10)
+        scan = fits_scan(TRIG, TRIG_NO_CONST, DimPair(1, 1), {fit.dims: fit})
+        err_a, _ = mse_box(scan, model, QuantileBox(lo, hi, 0.0, 1.0))
+        assert err_a[0, 0] == pytest.approx(c * c * (hi - lo), abs=1e-10)
 
     def test_truncated_fit_against_linear_truth(self):
-        # zero estimate vs a3 = -x + 0.5 on [-2, 2]: integral of (x - 0.5)^2
-        model = make_model(3)
-        fit = FitResult.zero(DimPair(3, 3))
+        # no admissible pair: every entry is the zero fit's error against
+        # a3 = -x + 0.5 on [-2, 2], the integral of (x - 0.5)^2
+        scan = fits_scan(HERMITE, HERMITE, DimPair(3, 3), {})
         box = QuantileBox(-2.0, 2.0, -1.0, 1.0)
-        mse_a, mse_b = mse_box(fit, model, box, HERMITE, HERMITE)
-        exact_a = ((2.0 - 0.5) ** 3 - (-2.0 - 0.5) ** 3) / 3.0
+        err_a, err_b = mse_box(scan, make_model(3), box)
+        exact_a, exact_b = a3_b3_box_integrals(box)
         assert exact_a == pytest.approx(19.0 / 3.0)
-        assert mse_a == pytest.approx(exact_a, rel=1e-10)
         # int_{-1}^{1} tanh(y)^2 / 4 dy = (2 - 2 tanh 1) / 4
-        exact_b = 0.5 * (1.0 - math.tanh(1.0))
         assert exact_b == pytest.approx(0.119202922022117, rel=1e-14)
-        assert mse_b == pytest.approx(exact_b, rel=1e-8)
+        assert np.all(err_a == err_a[0, 0]) and np.all(err_b == err_b[0, 0])
+        assert err_a[0, 0] == pytest.approx(exact_a, rel=1e-10)
+        assert err_b[0, 0] == pytest.approx(exact_b, rel=1e-8)
 
 
 class TestRunExperiment:
@@ -224,12 +241,39 @@ class TestRunExperiment:
             sample = generate_sample(model, spec, cfg.grid, 12, rep_seed(9, r))
             box = quantile_box(sample)
             adaptive = select_adaptive(sample, cfg.phi, cfg.psi, cfg.selection)
-            oracle = select_oracle_from_scan(scan_dimension_grid(sample, cfg.phi, cfg.psi, cfg.selection),
-                                             model, box)
+            scan = scan_dimension_grid(sample, cfg.phi, cfg.psi, cfg.selection)
+            oracle = select_oracle_from_scan(scan, *mse_box(scan, model, box))
             assert record.box == box
             assert record.dims == adaptive.chosen and record.oracle_dims == oracle.chosen
             np.testing.assert_array_equal(record.theta, adaptive.fit.theta)
             np.testing.assert_array_equal(record.oracle_theta, oracle.fit.theta)
+
+    @pytest.mark.parametrize("cutoff", [1e14, 1e-30])
+    def test_mse_columns_are_the_box_error_table(self, cutoff):
+        # A repetition's four MSE values are the entries of mse_box's tables
+        # at its chosen pairs, bit for bit. At cutoff 1e-30 no pair is
+        # admissible, and both fits are the zero fit, whose errors are the
+        # integrals of a3^2 and b3^2 over the box.
+        cfg = tiny_config(selection=SelectionConfig(max_m1=4, max_m2=3, stability=StabilityRule(cutoff=cutoff)))
+        report = run_experiment(3, "B", 20, 2, seed=4, config=cfg)
+        model = make_model(3, sigma=cfg.sigma, x0=cfg.x0)
+        spec = explanatory_by_name("B", sigma_y=cfg.sigma_y)
+        for r, record in enumerate(report.per_rep):
+            assert not record.failed
+            sample = generate_sample(model, spec, cfg.grid, 20, rep_seed(4, r))
+            scan = scan_dimension_grid(sample, cfg.phi, cfg.psi, cfg.selection)
+            err_a, err_b = mse_box(scan, model, record.box)
+            for dims, mse in ((record.dims, (record.mse_a, record.mse_b)),
+                              (record.oracle_dims, (record.oracle_mse_a, record.oracle_mse_b))):
+                at = dims.m1 - 1, dims.m2 - 1
+                assert mse == (err_a[at], err_b[at])
+            if cutoff == 1e-30:
+                assert record.truncated and record.oracle_truncated
+                exact = a3_b3_box_integrals(record.box)
+                np.testing.assert_allclose((record.mse_a, record.mse_b), exact, rtol=1e-10)
+                np.testing.assert_allclose((record.oracle_mse_a, record.oracle_mse_b), exact, rtol=1e-10)
+            else:
+                assert record.dims != record.oracle_dims and not record.truncated
 
     def test_summary_recomputable_from_per_rep(self):
         report = run_experiment(2, "B", 10, 5, seed=9, config=tiny_config())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,7 +23,6 @@ from cpls.estimator import (
 from cpls.experiments import QuantileBox, mse_box, quantile_box, rep_seed
 from cpls.selection import (
     SelectionConfig,
-    oracle_errors,
     scan_design,
     scan_dimension_grid,
     select_adaptive,
@@ -152,11 +152,11 @@ class TestSelectAdaptive:
         assert result.fit.truncated
         assert result.chosen == DimPair(1, 1)
         np.testing.assert_array_equal(result.fit.theta, np.zeros(2))
-        # the oracle has no fit to score either
+        # the oracle has no fit to score either: every entry is the zero fit's error
         scan = scan_dimension_grid(sample, TRIG, TRIG, cfg)
-        box = QuantileBox(0.0, 1.0, 0.0, 1.0)
-        assert all(np.isnan(err).all() for err in oracle_errors(scan, make_model(2), box))
-        assert select_oracle_from_scan(scan, make_model(2), box).fit.truncated
+        errors = mse_box(scan, make_model(2), QuantileBox(0.0, 1.0, 0.0, 1.0))
+        assert all(np.all(err == err[0, 0]) for err in errors)
+        assert select_oracle_from_scan(scan, *errors).fit.truncated
 
     def test_stability_rule_forwarded(self, bench_sample):
         # an absurdly tight practical cutoff rejects everything
@@ -185,11 +185,11 @@ class TestSelectOracle:
         box = QuantileBox(-1.5, 1.5, -1.5, 1.5)
         cfg = small_config(max_m1=3, max_m2=3, sigma_sq=0.0025)
         scan = scan_dimension_grid(sample, HERMITE, HERMITE, cfg)
-        total = sum(oracle_errors(scan, model, box))
+        total = sum(mse_box(scan, model, box))
         # (2, 2) beats every smaller pair that is admissible
         others = total[:2, :2].ravel()[:3]
-        assert math.isfinite(total[1, 1])
-        assert np.all(total[1, 1] < others[np.isfinite(others)])
+        assert scan.admissible[1, 1]
+        assert np.all(total[1, 1] < others[scan.admissible[:2, :2].ravel()[:3]])
 
     def test_oracle_sum_dominates_adaptive_on_every_rep(self, bench_sample):
         cfg = small_config(max_m1=5, max_m2=4)
@@ -197,8 +197,9 @@ class TestSelectOracle:
         model = make_model(3)
         scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, cfg)
         adaptive = select_adaptive_from_scan(scan)
-        oracle = select_oracle_from_scan(scan, model, box)
-        total = sum(oracle_errors(scan, model, box))
+        errors = mse_box(scan, model, box)
+        oracle = select_oracle_from_scan(scan, *errors)
+        total = sum(errors)
         oracle_err = total[oracle.chosen.m1 - 1, oracle.chosen.m2 - 1]
         adaptive_err = total[adaptive.chosen.m1 - 1, adaptive.chosen.m2 - 1]
         assert oracle_err <= adaptive_err + 1e-15
@@ -279,31 +280,16 @@ def test_oracle_errors_match_quadrature(case):
         assert not eval_rows(psi, dims.m2, np.linspace(box.a_y, box.b_y, 101)).any()
     admissible = scan.admissible
     assert admissible.all()
-    for got, ref in zip(oracle_errors(scan, model, box), box_errors_by_quadrature(scan, model, box)):
+    for got, ref in zip(mse_box(scan, model, box), box_errors_by_quadrature(scan, model, box)):
         assert got.shape == ref.shape == admissible.shape
         assert np.all(got >= 0.0)
         np.testing.assert_allclose(got, ref, rtol=ORACLE_RTOL, atol=0.0)
 
 
-def test_oracle_errors_agree_with_mse_box(bench_sample):
-    # The two box-error paths: the oracle's table for every fit and
-    # mse_box for a chosen one.
-    model = make_model(3)
-    box = quantile_box(bench_sample)
-    scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, small_config(max_m1=8, max_m2=8))
-    err_a, err_b = oracle_errors(scan, model, box)
-    admissible = scan.admissible
-    assert admissible.any() and np.all(err_a[admissible] >= 0.0) and np.all(err_b[admissible] >= 0.0)
-    oracle = select_oracle_from_scan(scan, model, box)
-    assert np.all(oracle.gamma[oracle.admissible] >= 0.0)
-    for result in (select_adaptive_from_scan(scan), oracle):
-        i, j = result.chosen.m1 - 1, result.chosen.m2 - 1
-        direct = mse_box(result.fit, model, box, HERMITE, HERMITE)
-        np.testing.assert_allclose((err_a[i, j], err_b[i, j]), direct, rtol=1e-10, atol=0.0)
-
-
 @pytest.mark.parametrize("case", ["staircase", "all", "none"])
-def test_oracle_errors_nan_exactly_off_the_admissible_set(case):
+def test_oracle_errors_zero_fit_off_the_admissible_set(case):
+    # Off the admissible set an entry is the zero fit's error, whatever the
+    # scan's coefficient row holds there.
     rng = np.random.default_rng(7)
     design = synthetic_design(rng, 6, 7, dependent=9 if case == "staircase" else None)
     cutoff = 1e-30 if case == "none" else 1e14
@@ -312,9 +298,13 @@ def test_oracle_errors_nan_exactly_off_the_admissible_set(case):
     admissible = scan.admissible
     assert {"staircase": 0 < admissible.sum() < admissible.size,
             "all": admissible.all(), "none": not admissible.any()}[case]
-    for err in oracle_errors(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0)):
-        assert err.shape == admissible.shape
-        np.testing.assert_array_equal(np.isnan(err), ~admissible)
+    model, box = make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0)
+    zero_fit = mse_box(dataclasses.replace(scan, frontier=np.zeros_like(scan.frontier)), model, box)
+    scan.coef[~admissible] = 1.0
+    for err, zero in zip(mse_box(scan, model, box), zero_fit):
+        assert err.shape == zero.shape == admissible.shape
+        assert np.all(zero == zero[0, 0]) and zero[0, 0] > 0.0
+        np.testing.assert_array_equal(err[~admissible], zero[~admissible])
 
 
 def test_criterion_table_rows_layout(tmp_path, monkeypatch):
@@ -548,7 +538,8 @@ def test_selection_result_does_not_keep_the_scan_arrays(bench_sample):
     model = make_model(3)
     scan = scan_dimension_grid(bench_sample, HERMITE, HERMITE, small_config(max_m1=8, max_m2=8))
     coef = weakref.ref(scan.coef)
-    results = [select_adaptive_from_scan(scan), select_oracle_from_scan(scan, model, quantile_box(bench_sample))]
+    errors = mse_box(scan, model, quantile_box(bench_sample))
+    results = [select_adaptive_from_scan(scan), select_oracle_from_scan(scan, *errors)]
     for result in results:
         assert result.criterion_table
     del scan
@@ -643,8 +634,8 @@ import hashlib, sys
 import numpy as np
 from cpls.bases import HERMITE
 from cpls.design import DesignSystem, DimPair
-from cpls.experiments import QuantileBox
-from cpls.selection import SelectionConfig, oracle_errors, scan_design
+from cpls.experiments import QuantileBox, mse_box
+from cpls.selection import SelectionConfig, scan_design
 from cpls.simulate import make_model
 from test_selection import mc_corner_design
 
@@ -654,7 +645,7 @@ synthetic = DesignSystem(DimPair(39, 39), v @ v.T / 4000, rng.standard_normal(78
                          np.concatenate([np.zeros(39), rng.standard_normal(39)]), 1.0)
 for design in (synthetic, mc_corner_design()):
     scan = scan_design(design, 400, HERMITE, HERMITE, SelectionConfig())
-    errors = oracle_errors(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0))
+    errors = mse_box(scan, make_model(2), QuantileBox(-2.0, 2.0, -3.0, 3.0))
     h = hashlib.sha256()
     for array in (scan.frontier, scan.gamma, scan.lam, scan.coef, *errors):
         h.update(np.ascontiguousarray(array).tobytes())
