@@ -12,12 +12,16 @@ temporary directory):
 * ``cpls experiment --model 2 --y A --n 400 --reps 4 --seed 3 --curves 2``
 * ``cpls experiment --model 3 --y B --n 200 --reps 3 --seed 3 --cutoff 1e-30
   --curves 1``
+* ``cpls experiment --model 3 --y B --n 1000 --reps 2 --seed 5 --curves 1``
 * ``cpls fit --model 3 --y B --n 400 --seed 2 --dump-design``
 * ``cpls fit --model 3 --y B --n 400 --seed 2 --basis-phi laguerre
   --basis-psi trig-noconst --stability theoretical --r 0.1 --dump-design``
 
 The second experiment admits no pair, so every repetition is truncated and
-its MSE columns are the zero fit's box errors. The last command runs what
+its MSE columns are the zero fit's box errors. The third scans designs that
+the pass trimmed to the rows its admissible pairs reach (see
+``cpls.design``), and writes their MSE columns, oracle choices and beams,
+which ``table1`` only summarizes. The last command runs what
 the protocol never does: the theoretical stability event, with the sup-norm
 bounds of both families, at every step of the staircase walk, the Laguerre
 rows and a zero constraint vector.
@@ -58,6 +62,8 @@ COMMANDS = {
                    "--seed", "3", "--curves", "2"],
     "experiment-truncated": ["experiment", "--model", "3", "--y", "B", "--n", "200", "--reps", "3",
                              "--seed", "3", "--cutoff", "1e-30", "--curves", "1"],
+    "experiment-trimmed": ["experiment", "--model", "3", "--y", "B", "--n", "1000", "--reps", "2",
+                           "--seed", "5", "--curves", "1"],
     "fit": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2", "--dump-design"],
     "fit-theoretical": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2",
                         "--basis-phi", "laguerre", "--basis-psi", "trig-noconst",

@@ -52,13 +52,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bases import BasisFamily, HERMITE, eval_rows, simpson_grid
-from .design import DesignSystem, DimPair, build_prefix_designs
+from .design import DesignSystem, DimPair, build_trimmed_designs
 from .estimator import FitResult, evaluate_fit
 from .selection import (
     DimensionScan,
     SelectionConfig,
     scan_bounds,
-    scan_design,
+    scan_trimmed,
     select_adaptive_from_scan,
     select_oracle_from_scan,
 )
@@ -140,7 +140,7 @@ def mse_box(scan: DimensionScan, truth: SdeModel, box: QuantileBox) -> tuple[np.
     MSE of a truncated fit and the oracle's criterion are both read off
     these tables. See the module docstring for the QR form.
     """
-    big = scan.design.dims
+    big = scan.dims
     coef = scan.coef.reshape(-1, big.total)  # m1-major, one row per pair
     off = ~scan.admissible
     r_a = _box_factor(scan.phi, big.m1, box.a_x, box.b_x, truth.a)
@@ -267,17 +267,18 @@ def _run_rep(task: _RepTask) -> list[RepRecord]:
     """One record per N of the task; any error inside a repetition is recorded, not raised.
 
     One sample of the largest N, its quantile box and the designs of every N
-    (:func:`_shared_designs`) serve all of them; the scan, the selection and
-    the box MSE then run per N, and an error there fails that N's record
-    only. A task of one N is the one-count case of the same path. If the
-    shared step of a task of several N raises, say because a path beyond the
-    smallest N diverged, each N reruns as a task of its own, so the error
-    reaches only the N whose own sample meets it; a task of one N records
-    the error.
+    (:func:`_shared_designs`) serve all of them; the scan (with its fallback
+    to the full design of N paths, see :func:`cpls.selection.scan_trimmed`),
+    the selection and the box MSE then run per N, and an error there fails
+    that N's record only. A task of one N is the one-count case of the same
+    path. If the shared step of a task of several N raises, say because a
+    path beyond the smallest N diverged, each N reruns as a task of its own,
+    so the error reaches only the N whose own sample meets it; a task of one
+    N records the error.
     """
     seed = rep_seed(task.master_seed, task.rep)
     try:
-        model, box, designs = _shared_designs(task, seed)
+        model, box, sample, designs = _shared_designs(task, seed)
     except Exception as exc:
         if len(task.n_paths) == 1:
             return [_failed(task.rep, seed, exc)]
@@ -286,7 +287,7 @@ def _run_rep(task: _RepTask) -> list[RepRecord]:
     records = []
     for n, design in zip(task.n_paths, designs):
         try:
-            scan = scan_design(design, n, cfg.phi, cfg.psi, cfg.selection)
+            scan = scan_trimmed(design, sample, n, cfg.phi, cfg.psi, cfg.selection)
             records.append(_record(task.rep, seed, model, box, scan))
         except Exception as exc:
             records.append(_failed(task.rep, seed, exc))
@@ -301,10 +302,10 @@ def _failed(rep: int, seed: int, exc: Exception) -> RepRecord:
     return RepRecord(rep=rep, seed=seed, failed=True, error=f"{type(exc).__name__}: {exc}")
 
 
-def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, list[DesignSystem]]:
-    """The model, the quantile box and the scan design of every N, from one sample of the largest.
+def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, PathSample, list[DesignSystem]]:
+    """The model, the quantile box, the sample of the largest N and the trimmed scan design of every N.
 
-    The sample is dropped on return; only the designs are kept.
+    The sample is kept for the scans' fallback to a full design.
     """
     cfg = task.config
     model = make_model(task.model_id, sigma=cfg.sigma, x0=cfg.x0)
@@ -312,8 +313,8 @@ def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, l
     sample = generate_sample(model, spec, cfg.grid, task.n_paths[-1], seed)
     box = quantile_box(sample)
     bounds = scan_bounds(cfg.selection, task.n_paths[0])  # the same for every N of the task
-    designs = build_prefix_designs(sample, cfg.phi, cfg.psi, bounds, task.n_paths, sample.grid.total_time)
-    return model, box, designs
+    designs = build_trimmed_designs(sample, cfg.phi, cfg.psi, bounds, task.n_paths, sample.grid.total_time)
+    return model, box, sample, designs
 
 
 def _record(rep: int, seed: int, model: SdeModel, box: QuantileBox, scan: DimensionScan) -> RepRecord:
@@ -389,10 +390,10 @@ def run_cells(
     rectangles ``min(max_m, N)`` agree therefore run as one task per
     repetition: it simulates the largest N once, takes the box once, and
     assembles every N's design in one pass, each checkpointed at its path
-    count (:func:`cpls.design.build_prefix_designs`). The designs are
-    bitwise those of standalone runs; scan, selection and box MSE then run
-    per N. A cell that shares its rectangle with no other N is a task of
-    one N on the same path, as in ``run_experiment``.
+    count and trimmed alike (:func:`cpls.design.build_trimmed_designs`).
+    The designs are bitwise those of standalone runs; scan, selection and
+    box MSE then run per N. A cell that shares its rectangle with no other
+    N is a task of one N on the same path, as in ``run_experiment``.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")

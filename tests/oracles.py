@@ -186,7 +186,7 @@ def box_errors_by_quadrature(scan, truth, bounds):
 
     xg, wx = simpson_grid(bounds.a_x, bounds.b_x, MSE_NODES)
     yg, wy = simpson_grid(bounds.a_y, bounds.b_y, MSE_NODES)
-    big = scan.design.dims
+    big = scan.dims
     bx = eval_matrix(scan.phi, big.m1, xg)
     by = eval_matrix(scan.psi, big.m2, yg)
     a_true = np.asarray(truth.a(xg), dtype=float)

@@ -250,6 +250,31 @@ def test_prefix_designs_at_the_benchmark_size():
         np.testing.assert_array_equal(system.zvec, ref.zvec)
 
 
+def test_trimmed_prefix_designs_are_standalone():
+    # A model 3 x Y (B) pass trimmed after its first 128 paths, checkpointed
+    # inside the block in flight at the decision (130), inside the first
+    # trimmed block (150), at a block boundary (400) and at the end: each
+    # design is bitwise the trimmed design of its prefix alone, and only the
+    # one of at most 144 paths spans the full dimensions.
+    from cpls.simulate import explanatory_by_name, generate_sample, make_model
+
+    sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 1000, seed=4)
+    dims = DimPair(39, 39)
+    counts = (130, 150, 400, 1000)
+    got = design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts)
+    assert got[0].dims == dims and len({d.dims for d in got[1:]}) == 1 and got[1].dims.m2 < dims.m2
+    for n, system in zip(counts, got):
+        prefix = make_sample(sample.grid, sample.x[:n], sample.y[:n])
+        (ref,) = design.build_trimmed_designs(prefix, HERMITE, HERMITE, dims, (n,))
+        assert system.dims == ref.dims
+        np.testing.assert_array_equal(system.gram, ref.gram)
+        np.testing.assert_array_equal(system.zvec, ref.zvec)
+        np.testing.assert_array_equal(system.dvec, ref.dvec)
+        full = subsystem(build_design(prefix, HERMITE, HERMITE, dims), system.dims)
+        np.testing.assert_allclose(system.gram, full.gram, rtol=0, atol=1e-12 * np.abs(full.gram).max())
+        np.testing.assert_allclose(system.zvec, full.zvec, rtol=0, atol=1e-12 * np.abs(full.zvec).max())
+
+
 def _design_in_block_order(sample, phi, psi, dims, t_norm, evaluate=eval_rows):
     # One thread, no reused buffer: each block's product added in block order.
     # The block has the pass's zero rows below the k + 1 it needs, as the

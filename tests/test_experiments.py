@@ -22,7 +22,7 @@ from cpls.experiments import (
     summarize,
     worker_pool,
 )
-from cpls.selection import SelectionConfig, scan_dimension_grid, select_adaptive, select_oracle_from_scan
+from cpls.selection import SelectionConfig, scan_design, scan_dimension_grid, select_adaptive, select_oracle_from_scan
 from cpls.simulate import GridSpec, SdeModel, explanatory_by_name, generate_sample, make_model
 
 from conftest import flaky_quantile_box, make_sample
@@ -332,19 +332,19 @@ class TestRunExperiment:
         import cpls.selection as selection
 
         clean = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
-        real_scan = expmod.scan_design
+        real_scan = expmod.scan_trimmed
         calls = []
 
-        def scan_failing_second(design, n_paths, phi, psi, config):
+        def scan_failing_second(design, sample, n_paths, phi, psi, config):
             calls.append(design)
             if len(calls) == 2:
                 design.gram[-1, -1] = -1.0
                 with monkeypatch.context() as patch:
                     patch.setattr(selection, "stability_event", lambda *args: True)
-                    return real_scan(design, n_paths, phi, psi, config)
-            return real_scan(design, n_paths, phi, psi, config)
+                    return real_scan(design, sample, n_paths, phi, psi, config)
+            return real_scan(design, sample, n_paths, phi, psi, config)
 
-        monkeypatch.setattr(expmod, "scan_design", scan_failing_second)
+        monkeypatch.setattr(expmod, "scan_trimmed", scan_failing_second)
         report = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
         assert len(calls) == 3
         bad = report.per_rep[1]
@@ -395,6 +395,64 @@ class TestCurvesAndBeam:
             emit_beam(report, "a", 5, tmp_path / "beam.csv")
         with pytest.raises(ValueError):
             emit_beam(report, "c", 1, tmp_path / "beam.csv")
+
+
+def forced_small_hull(monkeypatch):
+    """Make every trimmed pass cut its design to 9 + 1 rows a side, well inside
+    the admissible set of a model 3 x Y (B) sample, so its certificate fails."""
+    import cpls.design as designmod
+
+    monkeypatch.setattr(designmod, "_floor_edges", lambda gram, dims: (1, 1))
+
+
+def test_trimmed_pass_falls_back_to_the_full_design(monkeypatch):
+    # With the hull forced too small, each repetition's scan reassembles the
+    # full design of its paths, and its record is that of the full pass, bit
+    # for bit.
+    import cpls.experiments as expmod
+    import cpls.selection as selmod
+
+    forced_small_hull(monkeypatch)
+    cut, rebuilt = [], []
+    real_trim, real_build = expmod.build_trimmed_designs, selmod.build_design
+
+    def trimming(*args):
+        cut.extend(real_trim(*args))
+        return cut[-len(args[4]):]
+
+    def building(*args):
+        rebuilt.append(real_build(*args))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(expmod, "build_trimmed_designs", trimming)
+    monkeypatch.setattr(selmod, "build_design", building)
+    cfg = ExperimentConfig()
+    report = run_experiment(3, "B", 400, 2, seed=5, config=cfg)
+    assert [d.dims for d in cut] == [DimPair(10, 10)] * 2
+    assert [d.dims for d in rebuilt] == [DimPair(39, 39)] * 2
+    monkeypatch.undo()
+    model = make_model(3, sigma=cfg.sigma, x0=cfg.x0)
+    spec = explanatory_by_name("B", sigma_y=cfg.sigma_y)
+    for r, record in enumerate(report.per_rep):
+        seed = rep_seed(5, r)
+        sample = generate_sample(model, spec, cfg.grid, 400, seed)
+        full = build_design(sample, cfg.phi, cfg.psi, DimPair(39, 39), sample.grid.total_time)
+        scan = scan_design(full, 400, cfg.phi, cfg.psi, cfg.selection)
+        assert_same_records([record], [expmod._record(r, seed, model, quantile_box(sample), scan)])
+
+
+@pytest.mark.parametrize("forced_fallback", [False, True])
+def test_trimmed_prefix_report_is_the_standalone_one(monkeypatch, forced_fallback):
+    # A Y (B) cell at N = 400 run with N = 1000, on one sample and one
+    # trimmed pass, reports bit for bit what it reports alone; also when
+    # both scans fall back to the full design of their own paths.
+    if forced_fallback:
+        forced_small_hull(monkeypatch)
+    cfg = ExperimentConfig()
+    shared, _ = run_cells([(3, "B", 400), (3, "B", 1000)], 2, seed=8, config=cfg)
+    alone = run_experiment(3, "B", 400, 2, seed=8, config=cfg)
+    assert shared.summary == alone.summary
+    assert_same_records(shared.per_rep, alone.per_rep)
 
 
 def test_traced_names_resolve():

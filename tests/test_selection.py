@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, simpson_grid, sup_norm_bound
-from cpls.design import DesignSystem, DimPair, build_design, subsystem
+from cpls.design import DesignSystem, DimPair, build_design, build_prefix_designs, build_trimmed_designs, subsystem
 from cpls.estimator import (
     FitResult,
     SingularDesignError,
@@ -20,11 +20,12 @@ from cpls.estimator import (
     fit_nested_pairs,
     stability_event,
 )
-from cpls.experiments import QuantileBox, mse_box, quantile_box, rep_seed
+from cpls.experiments import ExperimentConfig, QuantileBox, mse_box, quantile_box, rep_seed
 from cpls.selection import (
     SelectionConfig,
     scan_design,
     scan_dimension_grid,
+    scan_trimmed,
     select_adaptive,
     select_adaptive_from_scan,
     select_oracle_from_scan,
@@ -673,3 +674,55 @@ def test_scan_independent_of_blas_threads():
         outputs.append(proc.stdout.split())
     assert outputs[0][::2] == [str(39 * 39)] * 2
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("model_id, y_type", [(m, y) for m in (1, 2, 3) for y in ("A", "B")])
+def test_trimmed_scan_matches_the_full_scan(model_id, y_type):
+    # The N = 400 and N = 1000 designs of three seeded samples: the scan of
+    # each trimmed design has the full design's admissible set and the same
+    # adaptive and oracle pairs, their theta within 1e-9 relative (a product
+    # of fewer rows may sum an entry in another order). Every Y (B) sample
+    # is cut on its psi side.
+    cfg = ExperimentConfig()
+    model = make_model(model_id, sigma=cfg.sigma)
+    spec = explanatory_by_name(y_type, sigma_y=cfg.sigma_y)
+    bounds = DimPair(cfg.selection.max_m1, cfg.selection.max_m2)
+    counts = (400, 1000)
+    for r in range(3):
+        sample = generate_sample(model, spec, cfg.grid, 1000, rep_seed(12, r))
+        box = quantile_box(sample)
+        t_norm = sample.grid.total_time
+        cut = build_trimmed_designs(sample, cfg.phi, cfg.psi, bounds, counts, t_norm)
+        full = build_prefix_designs(sample, cfg.phi, cfg.psi, bounds, counts, t_norm)
+        assert [d.dims.m2 < bounds.m2 for d in cut] == [y_type == "B"] * 2
+        for n, trimmed, design in zip(counts, cut, full):
+            got = scan_trimmed(trimmed, sample, n, cfg.phi, cfg.psi, cfg.selection)
+            ref = scan_design(design, n, cfg.phi, cfg.psi, cfg.selection)
+            np.testing.assert_array_equal(got.frontier, ref.frontier)
+            adaptive = [select_adaptive_from_scan(s) for s in (got, ref)]
+            oracle = [select_oracle_from_scan(s, *mse_box(s, model, box)) for s in (got, ref)]
+            for a, b in (adaptive, oracle):
+                assert a.chosen == b.chosen
+                assert np.abs(a.fit.theta - b.fit.theta).max() <= 1e-9 * np.abs(b.fit.theta).max()
+
+
+def test_untrimmed_designs_keep_their_bits():
+    # A model 2 x Y (A), N = 400 design passes the floor at its corner after
+    # 128 paths, so its scan reads the full design; and no design of at most
+    # 144 paths (the deciding blocks and the one in flight) is trimmed.
+    cfg = SelectionConfig()
+    sample = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), 400, seed=rep_seed(1, 0))
+    scan = scan_dimension_grid(sample, HERMITE, HERMITE, cfg)
+    ref = scan_design(mc_corner_design(), 400, HERMITE, HERMITE, cfg)
+    for name in ("frontier", "gamma", "lam", "coef"):
+        np.testing.assert_array_equal(getattr(scan, name), getattr(ref, name))
+    for name in ("gram", "zvec", "dvec"):
+        np.testing.assert_array_equal(getattr(scan.design, name), getattr(ref.design, name))
+    sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 144, seed=3)
+    counts = (64, 128, 144)
+    dims = DimPair(39, 39)
+    for got, full in zip(build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts),
+                         build_prefix_designs(sample, HERMITE, HERMITE, dims, counts)):
+        assert got.dims == dims
+        np.testing.assert_array_equal(got.gram, full.gram)
+        np.testing.assert_array_equal(got.zvec, full.zvec)
