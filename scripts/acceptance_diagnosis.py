@@ -52,7 +52,6 @@ from cpls.selection import (
     SCAN_BOUND,
     DimensionScan,
     SelectionConfig,
-    _select,
     scan_dimension_grid,
     select_adaptive_from_scan,
     select_oracle_from_scan,
@@ -192,10 +191,10 @@ def lead_rep(task: tuple[int, str, int, int, int]) -> dict:
         pooled = box_errors(adaptive.fit, model, pbox)
         row["pooled_avg_a"], row["pooled_avg_b"] = pooled["avg_a"], pooled["avg_b"]
         # The selector's own minimum and tie-break, on other criteria.
-        row["oracle_per_component"] = (_select(scan, err_a, 0.0).chosen.m1,
-                                       _select(scan, err_b, 0.0).chosen.m2)
+        row["oracle_per_component"] = (select_oracle_from_scan(scan, err_a, 0.0).chosen.m1,
+                                       select_oracle_from_scan(scan, err_b, 0.0).chosen.m2)
         row["oracle_box_avg"] = tuple(
-            _select(scan, err_a / out["len_x"], err_b / out["len_y"]).chosen)
+            select_oracle_from_scan(scan, err_a / out["len_x"], err_b / out["len_y"]).chosen)
         row["bias_a"] = best_fit_bias(model.a, adaptive.chosen.m1, box.a_x, box.b_x)
         out[bound] = row
     return out

@@ -54,12 +54,21 @@ The margin covers the edges' growth from 128 paths to N: more paths reach
 further into the tails, where the higher members live. From 128 to 1000
 paths the psi edge grew by at most 3 rows over seeds 1-10 of the six
 (model, Y) pairs, and model 3's phi edge by at most 8 over seeds 1-40 of
-its two Y types, bar one sample that grew by 9. The pass cannot
-know whether its cut holds; the scan checks it on the final design
-(:func:`cpls.selection.scan_trimmed`): the pairs at the cut, (E1, 1) and
-(1, E2), must fail the real stability event, so that, the admissible set
-being a down-set, no admissible pair lies past it. Otherwise the scan
-assembles the full design of the same paths and scans that.
+its two Y types, bar one sample that grew by 9.
+
+The cut rests on that estimate, so the builder certifies each cut design
+before returning it. The stability event of either rule implies the floor,
+so when the pairs at the cut, (E1, 1) if E1 < M1 and (1, E2) if E2 < M2,
+fail the floor in the final design, they fail the event, and by Cauchy
+interlacing (the admissible set is a down-set) so does every pair past the
+cut. When one of them clears the floor, the builder rebuilds that count's
+design untrimmed from its first n paths (:func:`build_prefix_designs`, one
+more pass for all such counts), which is bitwise the full design. Under the practical rule with the default cutoff
+1e14 the floor and the event agree on every pair: a block that clears the
+floor has ``k |G^-1| < 1e12``, below the event's bound ``cutoff N / log N``
+(at least 2.7e14 for N >= 2). So the check decides as the scan's own
+frontier would. Under the theoretical rule or a small cutoff it may fall
+back where the event would not, which gives the untrimmed bits.
 """
 
 from __future__ import annotations
@@ -251,23 +260,36 @@ TRIM_MARGIN = 8
 TRIM_MIN_ROWS = 8
 
 
+def _clears_floor(gram: np.ndarray, dims: DimPair, m1: int, m2: int) -> bool:
+    """Whether pair (m1, m2)'s block of ``gram`` (at ``dims``) clears the floor of :func:`inv_opnorm`."""
+    sub = np.r_[:m1, dims.m1 : dims.m1 + m2]
+    return math.isfinite(inv_opnorm(gram[np.ix_(sub, sub)]))
+
+
 def _floor_edges(gram: np.ndarray, dims: DimPair) -> tuple[int, int]:
     """The largest m1 with (m1, 1), and the largest m2 with (1, m2), whose block of
-    ``gram`` (at ``dims``) clears the eigenvalue floor of :func:`inv_opnorm`; 0 for none.
+    ``gram`` (at ``dims``) clears the floor (:func:`_clears_floor`); 0 for none.
 
     Bisection on each edge, which the floor's down-set makes monotone.
     """
 
-    def edge(top, rows):
+    def edge(top, clears):
         lo, hi = 0, top + 1  # the pairs up to lo clear the floor, from hi on they fail
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            sub = rows(mid)
-            lo, hi = (mid, hi) if math.isfinite(inv_opnorm(gram[np.ix_(sub, sub)])) else (lo, mid)
+            lo, hi = (mid, hi) if clears(mid) else (lo, mid)
         return lo
 
-    m1 = dims.m1
-    return edge(dims.m1, lambda m: np.r_[:m, m1]), edge(dims.m2, lambda m: np.r_[0, m1 : m1 + m])
+    return (edge(dims.m1, lambda m: _clears_floor(gram, dims, m, 1)),
+            edge(dims.m2, lambda m: _clears_floor(gram, dims, 1, m)))
+
+
+def _cut_holds(system: DesignSystem, dims: DimPair) -> bool:
+    """Whether the pairs at the cut of ``system`` from ``dims``, (E1, 1) if E1 < M1 and
+    (1, E2) if E2 < M2, fail the floor; true at once for an uncut design."""
+    (e1, e2), gram = system.dims, system.gram
+    return not ((e1 < dims.m1 and _clears_floor(gram, system.dims, e1, 1))
+                or (e2 < dims.m2 and _clears_floor(gram, system.dims, 1, e2)))
 
 
 def _trimmed_dims(gram: np.ndarray, dims: DimPair) -> DimPair:
@@ -346,10 +368,19 @@ def build_trimmed_designs(
     A design spans ``dims`` or, when the first 128 paths show a hull of
     pairs clearing the eigenvalue floor well inside it, smaller dimensions
     (see the module docstring); its entries are those of the full design,
-    summed by products of fewer rows. Each is bitwise the trimmed design of
-    its prefix sample alone. Designs of at most 144 paths are never trimmed.
+    summed by products of fewer rows. Every cut design is certified: no pair
+    past its rows clears the floor, so none is admissible under either
+    stability rule. A count whose cut fails the certificate gets its full
+    design instead, all such counts from one more pass. Each design is
+    bitwise the trimmed design of its prefix sample alone. Designs of at
+    most 144 paths are never trimmed.
     """
-    return _designs(sample, phi, psi, dims, counts, t_norm, trim=True)
+    designs = _designs(sample, phi, psi, dims, counts, t_norm, trim=True)
+    redo = [n for n, system in zip(counts, designs) if not _cut_holds(system, dims)]
+    if redo:
+        full = dict(zip(redo, build_prefix_designs(sample, phi, psi, dims, redo, t_norm)))
+        designs = [full.get(n, system) for n, system in zip(counts, designs)]
+    return designs
 
 
 def _designs(sample, phi, psi, dims, counts, t_norm, trim) -> list[DesignSystem]:

@@ -58,7 +58,7 @@ from .selection import (
     DimensionScan,
     SelectionConfig,
     scan_bounds,
-    scan_trimmed,
+    scan_design,
     select_adaptive_from_scan,
     select_oracle_from_scan,
 )
@@ -267,18 +267,17 @@ def _run_rep(task: _RepTask) -> list[RepRecord]:
     """One record per N of the task; any error inside a repetition is recorded, not raised.
 
     One sample of the largest N, its quantile box and the designs of every N
-    (:func:`_shared_designs`) serve all of them; the scan (with its fallback
-    to the full design of N paths, see :func:`cpls.selection.scan_trimmed`),
-    the selection and the box MSE then run per N, and an error there fails
-    that N's record only. A task of one N is the one-count case of the same
-    path. If the shared step of a task of several N raises, say because a
-    path beyond the smallest N diverged, each N reruns as a task of its own,
-    so the error reaches only the N whose own sample meets it; a task of one
-    N records the error.
+    (:func:`_shared_designs`) serve all of them; the scan, the selection and
+    the box MSE then run per N, and an error there fails that N's record
+    only. A task of one N is the one-count case of the same path. If the
+    shared step of a task of several N raises, say because a path beyond the
+    smallest N diverged, each N reruns as a task of its own, so the error
+    reaches only the N whose own sample meets it; a task of one N records
+    the error.
     """
     seed = rep_seed(task.master_seed, task.rep)
     try:
-        model, box, sample, designs = _shared_designs(task, seed)
+        model, box, designs = _shared_designs(task, seed)
     except Exception as exc:
         if len(task.n_paths) == 1:
             return [_failed(task.rep, seed, exc)]
@@ -287,7 +286,7 @@ def _run_rep(task: _RepTask) -> list[RepRecord]:
     records = []
     for n, design in zip(task.n_paths, designs):
         try:
-            scan = scan_trimmed(design, sample, n, cfg.phi, cfg.psi, cfg.selection)
+            scan = scan_design(design, n, cfg.phi, cfg.psi, cfg.selection, scan_bounds(cfg.selection, n))
             records.append(_record(task.rep, seed, model, box, scan))
         except Exception as exc:
             records.append(_failed(task.rep, seed, exc))
@@ -302,11 +301,8 @@ def _failed(rep: int, seed: int, exc: Exception) -> RepRecord:
     return RepRecord(rep=rep, seed=seed, failed=True, error=f"{type(exc).__name__}: {exc}")
 
 
-def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, PathSample, list[DesignSystem]]:
-    """The model, the quantile box, the sample of the largest N and the trimmed scan design of every N.
-
-    The sample is kept for the scans' fallback to a full design.
-    """
+def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, list[DesignSystem]]:
+    """The model, the quantile box of the largest N's sample and the trimmed scan design of every N."""
     cfg = task.config
     model = make_model(task.model_id, sigma=cfg.sigma, x0=cfg.x0)
     spec = explanatory_by_name(task.y_type, sigma_y=cfg.sigma_y)
@@ -314,7 +310,7 @@ def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, P
     box = quantile_box(sample)
     bounds = scan_bounds(cfg.selection, task.n_paths[0])  # the same for every N of the task
     designs = build_trimmed_designs(sample, cfg.phi, cfg.psi, bounds, task.n_paths, sample.grid.total_time)
-    return model, box, sample, designs
+    return model, box, designs
 
 
 def _record(rep: int, seed: int, model: SdeModel, box: QuantileBox, scan: DimensionScan) -> RepRecord:

@@ -20,19 +20,10 @@ the first m1 phi and the first m2 psi members.
   and moving on to the next m1, decides the rectangle; it reuses the
   corner's outcome, so the scan never makes more than max_m1 + max_m2
   events.
-* The design holds only the rows the admissible pairs can reach
-  (:func:`cpls.design.build_trimmed_designs`): when the first 128 paths
-  show the pairs (m1, 1) and (1, m2) clearing the eigenvalue floor well
-  inside the rectangle, the pass cuts its later blocks to
-  (M1', M2'), a margin past those edges. The cut rests on an estimate, so
-  the scan checks it (:func:`scan_trimmed`): with the set a down-set, no
-  admissible pair lies past the cut when (M1', 1) fails the event (or
-  M1' = max_m1) and (1, M2') fails it (or M2' = max_m2). The staircase
-  walk decides both pairs anyway, so the check is two reads of the
-  frontier: its last entry 0, its first below M2'. When it fails, the scan
-  assembles the full design of the same paths and scans that, so the
-  result is bitwise the untrimmed scan's. A trimmed scan's tables keep the
-  rectangle's shape and layout; its pairs past the cut are not admissible.
+* A design may span fewer rows than the rectangle
+  (:func:`cpls.design.build_trimmed_designs`); its builder certifies that
+  no admissible pair lies past them, and the scan's tables keep the
+  rectangle's shape and layout.
 * Every admissible pair is fitted at once, by block elimination in the
   [phi | psi] order (:func:`cpls.estimator.fit_nested_pairs`): one Cholesky
   factor of the phi block up to the last m1 with an admissible pair, and
@@ -65,9 +56,10 @@ from typing import Mapping
 import numpy as np
 
 from .bases import BasisFamily
-from .design import DesignSystem, DimPair, build_design, build_trimmed_designs, subsystem
+from .design import DesignSystem, DimPair, build_trimmed_designs, subsystem
 from .estimator import FitResult, StabilityRule, fit_nested_pairs, stability_event
-# Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these two bindings.
+# Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these three bindings.
+from .design import build_design
 from .estimator import fit_residuals, solve_constrained
 from .simulate import PathSample
 
@@ -155,9 +147,8 @@ class DimensionScan:
     [m1 - 1, m2 - 1]; ``coef`` (M1 x M2 x (M1 + M2)) holds its coefficients
     as ``[a-part | 0 | b-part | 0]``, the a-part from column 0 and the
     b-part from column M1. Entries of pairs that are not admissible are
-    never read. ``design`` spans the rectangle, or, for a trimmed design
-    (:func:`scan_trimmed`), fewer rows that still hold every admissible
-    pair.
+    never read. ``design`` spans the rectangle, or, for a trimmed design,
+    fewer rows that still hold every admissible pair.
     """
 
     design: DesignSystem
@@ -207,8 +198,13 @@ def scan_design(
     phi: BasisFamily,
     psi: BasisFamily,
     config: SelectionConfig,
+    dims: DimPair | None = None,
 ) -> DimensionScan:
-    """Fit every admissible pair of the rectangle [1, M1] x [1, M2] = ``design.dims``.
+    """Fit every admissible pair of the rectangle [1, M1] x [1, M2] = ``dims`` (default ``design.dims``).
+
+    ``design`` spans the rectangle or, cut by its builder, fewer rows that
+    hold every admissible pair; the tables and coefficient rows then take
+    the rectangle's shape and layout, its pairs past the cut not admissible.
 
     The stability event runs at the corner (M1, M2) and, only when that
     fails, along the frontier of the admissible set, at most M1 + M2 calls
@@ -221,18 +217,7 @@ def scan_design(
     no factorization can fail (see :mod:`cpls.estimator`); if one does, the
     scan raises :class:`cpls.estimator.SingularDesignError`.
     """
-    return _scan(design, design.dims, n_paths, phi, psi, config)
-
-
-def _scan(design, dims, n_paths, phi, psi, config) -> DimensionScan | None:
-    """:func:`scan_design` over the rectangle ``dims``, from a design that spans it or fewer rows.
-
-    None when a trimmed side's certificate fails: the admissible set of a
-    design cut to (M1', M2') lies inside it when, in that design, (M1', 1)
-    fails if M1' < M1 and (1, M2') fails if M2' < M2 (the set is a
-    down-set). The frontier decides both: its last entry is 0, its first
-    below M2'. The fits are then copied into the rectangle's layout.
-    """
+    dims = design.dims if dims is None else dims
     max_m1, max_m2 = design.dims
     frontier = np.full(max_m1, max_m2)
     if not stability_event(design, n_paths, config.stability, phi, psi):
@@ -243,8 +228,6 @@ def _scan(design, dims, n_paths, phi, psi, config) -> DimensionScan | None:
                     subsystem(design, DimPair(m1, m2)), n_paths, config.stability, phi, psi)):
                 m2 -= 1
             frontier[m1 - 1] = m2
-    if (max_m1 < dims.m1 and frontier[-1] > 0) or (max_m2 < dims.m2 and frontier[0] == max_m2):
-        return None
     coef, lam, gamma, max_res = fit_nested_pairs(design, frontier)
     if design.dims != dims:
         full = np.zeros((dims.m1, dims.m2, dims.total))
@@ -268,30 +251,6 @@ def _scan(design, dims, n_paths, phi, psi, config) -> DimensionScan | None:
     )
 
 
-def scan_trimmed(
-    design: DesignSystem,
-    sample: PathSample,
-    n_paths: int,
-    phi: BasisFamily,
-    psi: BasisFamily,
-    config: SelectionConfig,
-) -> DimensionScan:
-    """The scan of the first ``n_paths`` paths of ``sample`` over :func:`scan_bounds`'s rectangle.
-
-    ``design`` is their design by :func:`cpls.design.build_trimmed_designs`.
-    When it was cut and the certificate fails (an admissible pair may lie
-    past its rows; see :func:`_scan`), the full design is assembled from
-    those paths and scanned, so the result is then bitwise what
-    :func:`scan_design` gives on :func:`cpls.design.build_design`'s design.
-    """
-    dims = scan_bounds(config, n_paths)
-    scan = _scan(design, dims, n_paths, phi, psi, config)
-    if scan is None:
-        head = PathSample(sample.grid, sample.x[:n_paths], sample.y[:n_paths])
-        scan = scan_design(build_design(head, phi, psi, dims, design.t_norm), n_paths, phi, psi, config)
-    return scan
-
-
 def scan_bounds(config: SelectionConfig, n_paths: int) -> DimPair:
     """The scan rectangle for ``n_paths`` paths: each bound capped at the number of paths.
 
@@ -313,12 +272,12 @@ def scan_dimension_grid(
 
     The design is assembled once at the scan bounds (each capped at the
     number of paths), trimmed to the rows an admissible pair can reach
-    (:func:`cpls.design.build_trimmed_designs`); :func:`scan_trimmed` does
-    the rest.
+    (:func:`cpls.design.build_trimmed_designs`).
     """
     n = sample.n_paths
-    (design,) = build_trimmed_designs(sample, phi, psi, scan_bounds(config, n), (n,), sample.grid.total_time)
-    return scan_trimmed(design, sample, n, phi, psi, config)
+    dims = scan_bounds(config, n)
+    (design,) = build_trimmed_designs(sample, phi, psi, dims, (n,), sample.grid.total_time)
+    return scan_design(design, n, phi, psi, config, dims)
 
 
 def _select(scan: DimensionScan, gamma: np.ndarray, penalty: np.ndarray) -> SelectionResult:

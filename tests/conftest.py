@@ -53,3 +53,11 @@ def quantile_box_failing_on(first_x):
         return quantile_box(sample)
 
     return box
+
+
+def forced_small_hull(monkeypatch):
+    """Make every trimmed pass cut its design to 9 + 1 rows a side, well inside
+    the admissible set of a model 3 x Y (B) sample, so its certificate fails."""
+    import cpls.design as designmod
+
+    monkeypatch.setattr(designmod, "_floor_edges", lambda gram, dims: (1, 1))

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from cpls import bases, design
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_matrix, eval_rows
-from cpls.design import DimPair, build_design, build_prefix_designs, inv_opnorm, subsystem
+from cpls.design import DesignSystem, DimPair, build_design, build_prefix_designs, inv_opnorm, subsystem
+from cpls.estimator import StabilityRule, stability_event
 from cpls.simulate import GridSpec, PathSample
 
-from conftest import make_sample
+from conftest import forced_small_hull, make_sample
 from oracles import design_pointwise, empirical_norm_sq, hermite_rows_unflushed
 
 FAMILIES = [HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST]
@@ -273,6 +274,69 @@ def test_trimmed_prefix_designs_are_standalone():
         full = subsystem(build_design(prefix, HERMITE, HERMITE, dims), system.dims)
         np.testing.assert_allclose(system.gram, full.gram, rtol=0, atol=1e-12 * np.abs(full.gram).max())
         np.testing.assert_allclose(system.zvec, full.zvec, rtol=0, atol=1e-12 * np.abs(full.zvec).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_paths=st.integers(2, 10**9),
+    m1=st.integers(1, 20),
+    m2=st.integers(1, 20),
+    exponent=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_default_practical_event_is_the_eigenvalue_floor(n_paths, m1, m2, exponent, seed):
+    # The trimmed builder certifies its cut on the floor of inv_opnorm alone.
+    # Under the default practical rule the stability event passes exactly
+    # when the floor does, at every N, so the certificate decides as the
+    # scan's event would. The smallest eigenvalue straddles the floor 1e-12 k.
+    k = m1 + m2
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    lam = np.concatenate([[1e-12 * k * 10.0**exponent], rng.uniform(1e-3, 10.0, k - 1)])
+    gram = (q * lam) @ q.T
+    system = DesignSystem(DimPair(m1, m2), 0.5 * (gram + gram.T), np.zeros(k), np.zeros(k), 1.0)
+    passes = stability_event(system, n_paths, StabilityRule(), HERMITE, HERMITE)
+    assert passes == math.isfinite(inv_opnorm(system.gram))
+
+
+@pytest.mark.parametrize("model_id, y_type", [(1, "B"), (3, "A"), (3, "B")])
+def test_trimmed_designs_fail_the_floor_at_the_cut(model_id, y_type):
+    # Every cut design the builder returns fails the floor at its pairs
+    # (E1, 1) if E1 < 39 and (1, E2) if E2 < 39, so, the floor's passing
+    # pairs being a down-set, no pair past the cut is admissible.
+    from cpls.simulate import explanatory_by_name, generate_sample, make_model
+
+    dims = DimPair(39, 39)
+    sides = 0
+    for seed in range(3):
+        sample = generate_sample(make_model(model_id), explanatory_by_name(y_type), GridSpec(), 1000, seed=seed)
+        for system in design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, (400, 1000)):
+            e1, e2 = system.dims
+            for cut, pair in [(e1 < dims.m1, DimPair(e1, 1)), (e2 < dims.m2, DimPair(1, e2))]:
+                if cut:
+                    assert inv_opnorm(subsystem(system, pair).gram) == math.inf, (seed, system.dims)
+                    sides += 1
+    assert sides > 0
+
+
+def test_failed_certificate_gives_the_full_designs(monkeypatch):
+    # With the hull forced too small, the pass cuts every design past its
+    # first 144 paths to (10, 10), each fails the certificate, and the
+    # builder returns instead the full design of each prefix, bit for bit.
+    from cpls.simulate import explanatory_by_name, generate_sample, make_model
+
+    forced_small_hull(monkeypatch)
+    sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 1000, seed=4)
+    dims = DimPair(39, 39)
+    counts = (130, 150, 400, 1000)
+    cut = design._designs(sample, HERMITE, HERMITE, dims, counts, None, trim=True)
+    assert [d.dims for d in cut] == [dims] + [DimPair(10, 10)] * 3
+    for n, system in zip(counts, design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts)):
+        ref = build_design(make_sample(sample.grid, sample.x[:n], sample.y[:n]), HERMITE, HERMITE, dims)
+        assert system.dims == dims
+        np.testing.assert_array_equal(system.gram, ref.gram)
+        np.testing.assert_array_equal(system.zvec, ref.zvec)
+        np.testing.assert_array_equal(system.dvec, ref.dvec)
 
 
 def _design_in_block_order(sample, phi, psi, dims, t_norm, evaluate=eval_rows):

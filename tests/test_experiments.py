@@ -25,7 +25,7 @@ from cpls.experiments import (
 from cpls.selection import SelectionConfig, scan_design, scan_dimension_grid, select_adaptive, select_oracle_from_scan
 from cpls.simulate import GridSpec, SdeModel, explanatory_by_name, generate_sample, make_model
 
-from conftest import flaky_quantile_box, make_sample
+from conftest import flaky_quantile_box, forced_small_hull, make_sample
 from oracles import scan_from_fits
 
 
@@ -332,19 +332,19 @@ class TestRunExperiment:
         import cpls.selection as selection
 
         clean = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
-        real_scan = expmod.scan_trimmed
+        real_scan = expmod.scan_design
         calls = []
 
-        def scan_failing_second(design, sample, n_paths, phi, psi, config):
+        def scan_failing_second(design, n_paths, phi, psi, config, dims):
             calls.append(design)
             if len(calls) == 2:
                 design.gram[-1, -1] = -1.0
                 with monkeypatch.context() as patch:
                     patch.setattr(selection, "stability_event", lambda *args: True)
-                    return real_scan(design, sample, n_paths, phi, psi, config)
-            return real_scan(design, sample, n_paths, phi, psi, config)
+                    return real_scan(design, n_paths, phi, psi, config, dims)
+            return real_scan(design, n_paths, phi, psi, config, dims)
 
-        monkeypatch.setattr(expmod, "scan_trimmed", scan_failing_second)
+        monkeypatch.setattr(expmod, "scan_design", scan_failing_second)
         report = run_experiment(2, "B", 10, 3, seed=9, config=tiny_config())
         assert len(calls) == 3
         bad = report.per_rep[1]
@@ -397,35 +397,24 @@ class TestCurvesAndBeam:
             emit_beam(report, "c", 1, tmp_path / "beam.csv")
 
 
-def forced_small_hull(monkeypatch):
-    """Make every trimmed pass cut its design to 9 + 1 rows a side, well inside
-    the admissible set of a model 3 x Y (B) sample, so its certificate fails."""
-    import cpls.design as designmod
-
-    monkeypatch.setattr(designmod, "_floor_edges", lambda gram, dims: (1, 1))
-
-
 def test_trimmed_pass_falls_back_to_the_full_design(monkeypatch):
-    # With the hull forced too small, each repetition's scan reassembles the
-    # full design of its paths, and its record is that of the full pass, bit
-    # for bit.
+    # With the hull forced too small, each repetition's trimmed pass cuts
+    # its design to (10, 10), the certificate fails, and the builder
+    # reassembles the full design of the same paths; the record is that of
+    # the full pass, bit for bit.
+    import cpls.design as designmod
     import cpls.experiments as expmod
-    import cpls.selection as selmod
 
     forced_small_hull(monkeypatch)
     cut, rebuilt = [], []
-    real_trim, real_build = expmod.build_trimmed_designs, selmod.build_design
+    real_designs = designmod._designs
 
-    def trimming(*args):
-        cut.extend(real_trim(*args))
-        return cut[-len(args[4]):]
+    def designs(*args, trim):
+        out = real_designs(*args, trim=trim)
+        (cut if trim else rebuilt).extend(out)
+        return out
 
-    def building(*args):
-        rebuilt.append(real_build(*args))
-        return rebuilt[-1]
-
-    monkeypatch.setattr(expmod, "build_trimmed_designs", trimming)
-    monkeypatch.setattr(selmod, "build_design", building)
+    monkeypatch.setattr(designmod, "_designs", designs)
     cfg = ExperimentConfig()
     report = run_experiment(3, "B", 400, 2, seed=5, config=cfg)
     assert [d.dims for d in cut] == [DimPair(10, 10)] * 2

@@ -25,7 +25,6 @@ from cpls.selection import (
     SelectionConfig,
     scan_design,
     scan_dimension_grid,
-    scan_trimmed,
     select_adaptive,
     select_adaptive_from_scan,
     select_oracle_from_scan,
@@ -696,7 +695,7 @@ def test_trimmed_scan_matches_the_full_scan(model_id, y_type):
         full = build_prefix_designs(sample, cfg.phi, cfg.psi, bounds, counts, t_norm)
         assert [d.dims.m2 < bounds.m2 for d in cut] == [y_type == "B"] * 2
         for n, trimmed, design in zip(counts, cut, full):
-            got = scan_trimmed(trimmed, sample, n, cfg.phi, cfg.psi, cfg.selection)
+            got = scan_design(trimmed, n, cfg.phi, cfg.psi, cfg.selection, bounds)
             ref = scan_design(design, n, cfg.phi, cfg.psi, cfg.selection)
             np.testing.assert_array_equal(got.frontier, ref.frontier)
             adaptive = [select_adaptive_from_scan(s) for s in (got, ref)]
