@@ -42,18 +42,25 @@ def quadratic_objective(system, theta: np.ndarray) -> float:
 
 
 def solve_pair(gram: np.ndarray, zvec: np.ndarray, dvec: np.ndarray) -> tuple[np.ndarray, float]:
-    """(theta, lambda) of the Lagrangian closed form by dense LU solves, refined once."""
+    """(theta, lambda) of the constrained minimiser by null-space elimination, refined once.
 
-    def solve(rhs):
-        sol = np.linalg.solve(gram, rhs)
-        return sol + np.linalg.solve(gram, rhs - gram @ sol)
+    theta is solved by dense LU on an orthonormal basis of null(d'), so
+    <theta, d> vanishes to rounding relative to theta itself. The closed
+    form u - ratio * v would cancel where theta is much smaller than u and
+    v (a constraint vector on one psi member, say), and the residuals
+    divide that cancellation by theta' G theta. lambda is the multiplier
+    of 2 (G theta - z) = lambda d, in least squares.
+    """
 
-    u = solve(zvec)
+    def solve(mat, rhs):
+        sol = np.linalg.solve(mat, rhs)
+        return sol + np.linalg.solve(mat, rhs - mat @ sol)
+
     if not np.any(dvec):
-        return u, 0.0
-    v = solve(dvec)
-    ratio = float(dvec @ u) / float(dvec @ v)
-    return u - ratio * v, -2.0 * ratio
+        return solve(gram, zvec), 0.0
+    q = np.linalg.svd(dvec[None, :])[2][1:].T  # columns span null(d')
+    theta = q @ solve(q.T @ gram @ q, q.T @ zvec)
+    return theta, 2.0 * float(dvec @ (gram @ theta - zvec)) / float(dvec @ dvec)
 
 
 def pair_residuals(gram, zvec, dvec, theta, lam) -> dict[str, float]:

@@ -347,16 +347,17 @@ def test_residual_maxima_collected(bench_sample):
 # The scan decides the admissible set from its frontier and fits every pair
 # from one factor of the phi block and a stacked factor of the psi Schur
 # complements; tests/oracles.py keeps the pair-by-pair loop (a stability
-# event and a dense LU solve for every pair). The admissible sets must be
-# equal. The fits are two roundings of one closed form: an admissible
-# block here can have a condition number up to about 1e8, and theta =
-# u - ratio * v can cancel. Over 9000 random cases drawn as these tests
-# draw them, the two differed by up to 2.0e-7 of max|theta|, 3.2e-7 in
-# gamma (relative) and 8.9e-8 in a residual maximum, all on near-singular
-# blocks; a solver with one Cholesky factor per m1 and a refinement step
-# differed by up to 1.3e-7, 2.6e-7 and 4.4e-8 on the same cases. A wrong
-# block, a missed zeroing or a dropped constraint moves them by order 1,
-# far outside these tolerances.
+# event and a dense LU solve on the constraint's null space for every
+# pair). The admissible sets must be equal. The fits are two roundings of
+# one minimiser: an admissible block here can have a condition number up
+# to about 1e8, and the scan's theta = u - ratio * v can cancel. Over
+# 12000 random cases drawn as these tests draw them, the two differed by
+# up to 1.8e-8 of max|theta|, 3.0e-8 in gamma (relative) and 1.8e-8 in a
+# residual maximum, but for one case where the scan's own optimality
+# residual read 1.01e-7. A reference by the closed form differed by up to
+# 3.1e-7 in a residual maximum: its u - ratio * v cancels where theta is
+# small next to u and v. A wrong block, a missed zeroing or a dropped
+# constraint moves them by order 1, far outside these tolerances.
 
 THETA_RTOL = 1e-6
 RESIDUAL_ATOL = 1e-7
