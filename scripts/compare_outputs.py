@@ -13,6 +13,7 @@ temporary directory):
 * ``cpls experiment --model 3 --y B --n 200 --reps 3 --seed 3 --cutoff 1e-30
   --curves 1``
 * ``cpls experiment --model 3 --y B --n 1000 --reps 2 --seed 5 --curves 1``
+* ``cpls experiment --model 1 --y A --n 300 --reps 2 --seed 3``
 * ``cpls fit --model 3 --y B --n 400 --seed 2 --dump-design``
 * ``cpls fit --model 3 --y B --n 400 --seed 2 --basis-phi laguerre
   --basis-psi trig-noconst --stability theoretical --r 0.1 --dump-design``
@@ -21,7 +22,10 @@ The second experiment admits no pair, so every repetition is truncated and
 its MSE columns are the zero fit's box errors. The third scans designs that
 the pass trimmed to the rows its admissible pairs reach (see
 ``cpls.design``), and writes their MSE columns, oracle choices and beams,
-which ``table1`` only summarizes. The last command runs what
+which ``table1`` only summarizes. The fourth streams N = 300 paths,
+a multiple of neither the 16-path block nor the 256-path chunk of
+``cpls.simulate.PathStream``, so its design pass crosses a chunk edge
+and ends in a short block of a short chunk. The last command runs what
 the protocol never does: the theoretical stability event, with the sup-norm
 bounds of both families, at every step of the staircase walk, the Laguerre
 rows and a zero constraint vector.
@@ -64,6 +68,8 @@ COMMANDS = {
                              "--seed", "3", "--cutoff", "1e-30", "--curves", "1"],
     "experiment-trimmed": ["experiment", "--model", "3", "--y", "B", "--n", "1000", "--reps", "2",
                            "--seed", "5", "--curves", "1"],
+    "experiment-chunked": ["experiment", "--model", "1", "--y", "A", "--n", "300", "--reps", "2",
+                           "--seed", "3"],
     "fit": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2", "--dump-design"],
     "fit-theoretical": ["fit", "--model", "3", "--y", "B", "--n", "400", "--seed", "2",
                         "--basis-phi", "laguerre", "--basis-psi", "trig-noconst",

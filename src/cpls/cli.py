@@ -7,8 +7,9 @@ Subcommands:
                      metadata file with the fully resolved configuration.
 * ``table1``      -- the full benchmark grid {1,2,3} x {A,B} x {400,1000}
                      as one 12-row wide summary.
-* ``fit``         -- a single adaptive fit on one fresh sample; writes the
-                     selected coefficients and the criterion table.
+* ``fit``         -- a single adaptive fit on one fresh sample, streamed
+                     through the design pass; writes the selected
+                     coefficients and the criterion table.
 * ``bases-check`` -- orthonormality residual of a basis family.
 
 Option precedence: command-line flags override a plain ``key = value``
@@ -53,9 +54,8 @@ from .simulate import (
     DRIFT_PAIRS,
     Y_TYPES,
     GridSpec,
-    check_seed,
+    PathStream,
     explanatory_by_name,
-    generate_sample,
     make_model,
 )
 
@@ -316,11 +316,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     model = make_model(settings["model"], sigma=settings["sigma"], x0=settings["x0"])
     spec = explanatory_by_name(settings["y"], sigma_y=settings["sigma_y"])
     scan_bounds(config.selection, settings["n"])  # rejects N < 2 before the simulation
-    check_seed(settings["seed"])
-    sample = generate_sample(model, spec, config.grid, settings["n"], settings["seed"])
-    scan = scan_dimension_grid(sample, config.phi, config.psi, config.selection)
+    # The scan's design pass simulates the paths chunk by chunk as it reads them.
+    stream = PathStream(model, spec, config.grid, settings["n"], settings["seed"])
+    scan = scan_dimension_grid(stream, config.phi, config.psi, config.selection)
     result = select_adaptive_from_scan(scan)
-    box = quantile_box(sample)
+    box = quantile_box(stream)
     theta, m1 = result.fit.theta, result.chosen.m1
     coef_rows = [["a", j + 1, v] for j, v in enumerate(theta[:m1])]
     coef_rows += [["b", j + 1, v] for j, v in enumerate(theta[m1:])]

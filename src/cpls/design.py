@@ -15,8 +15,14 @@ normalizes by the full horizon T instead, which callers select via
 ``t_norm``.
 
 The sums run over blocks of ``_PATH_BLOCK`` paths, in a fixed order, so
-reruns give the same bits. Each block has one row per basis member plus a row
-of X-increments, and one column per (path, window point); every basis family
+reruns give the same bits. The paths come from a source's chunks: a
+:class:`cpls.simulate.PathSample` is one chunk of views of its arrays, and
+a :class:`cpls.simulate.PathStream` simulates chunks of ``CHUNK_PATHS``
+paths as the pass reaches them, so a pass over a stream holds one chunk,
+not the sample. Every chunk but the last is a whole number of blocks, so
+the blocks, and the bits, are the same from either source. Each block has
+one row per basis member plus a row of X-increments, and one column per
+(path, window point); every basis family
 writes its rows into the block in place, and a single ``block @ block.T``
 yields both the Gram sums and the dX-sums. Two buffers take the blocks in
 turn: the calling thread fills one block while a helper thread multiplies
@@ -74,14 +80,13 @@ back where the event would not, which gives the untrimmed bits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bases import BasisFamily, delta_vector, eval_rows
-from .simulate import PathSample
+from .simulate import PathSample, PathStream
 
 _PATH_BLOCK = 16  # fixed block size => fixed summation order
 
@@ -135,8 +140,24 @@ def _products(block: np.ndarray, cuts: Sequence[int]) -> tuple[np.ndarray, list[
     return block @ block.T, [block[:, :c] @ block[:, :c].T for c in cuts]
 
 
+def _path_blocks(sample: PathSample | PathStream, stop: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The first path, X rows and Y rows of each block of the first ``stop`` paths, in order.
+
+    A block holds ``_PATH_BLOCK`` paths of one chunk, the last block of the
+    last chunk fewer. Every chunk before the last holds whole blocks
+    (``CHUNK_PATHS`` is a multiple of ``_PATH_BLOCK``), so the blocks start
+    at the same paths as in one whole sample.
+    """
+    start = 0
+    for x, y in sample.chunks(stop):
+        for lo in range(0, len(x), _PATH_BLOCK):
+            yield start + lo, x[lo : lo + _PATH_BLOCK], y[lo : lo + _PATH_BLOCK]
+        start += len(x)
+        del x, y  # so the chunk is freed before the next is simulated
+
+
 def _accumulate(
-    sample: PathSample,
+    sample: PathSample | PathStream,
     phi: BasisFamily,
     psi: BasisFamily,
     dims: DimPair,
@@ -146,7 +167,8 @@ def _accumulate(
 ) -> list[tuple[DimPair, np.ndarray, np.ndarray]]:
     """Dimensions, Gram matrix and observation vector of the first ``n`` paths, for each ``n`` in ``counts``.
 
-    The paths run in blocks of at most ``_PATH_BLOCK``, each a view of one
+    The paths run in blocks of at most ``_PATH_BLOCK``, read from the
+    sample's chunks (:func:`_path_blocks`). Each block is a view of one
     of two buffers, used in turn, with ``m1 + m2 + 1`` rows and one column
     per (path, window point), path-major. :func:`cpls.bases.eval_rows`
     writes the stacked basis values at the window's left points into rows
@@ -186,8 +208,9 @@ def _accumulate(
     standalone design of its prefix.
 
     ``counts`` is strictly increasing, and the paths after the last count
-    are not read. Each count checkpoints the running sums (see the module
-    docstring), so every (G, z) is bitwise that of its prefix sample alone.
+    are not read (nor, from a stream, simulated). Each count checkpoints
+    the running sums (see the module docstring), so every (G, z) is bitwise
+    that of its prefix sample alone.
     """
     if not counts or any(b <= a for a, b in zip(counts, counts[1:])) or counts[-1] > sample.n_paths:
         raise ValueError(f"path counts {counts} must increase strictly up to {sample.n_paths}")
@@ -225,21 +248,23 @@ def _accumulate(
 
     bufs = np.empty((2, rows, min(_PATH_BLOCK, counts[-1]) * width))
     bufs[:, dims.total + 1 :] = 0.0
+    # Imported here, so that ``import cpls`` does not load the executor machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
     pending = None
     with ThreadPoolExecutor(1) as helper:
-        for j, start in enumerate(range(0, counts[-1], _PATH_BLOCK)):
-            stop = min(start + _PATH_BLOCK, counts[-1])
+        # No enumerate: its reused result tuple would keep the last block of
+        # a chunk, and so the chunk, alive while the next one is simulated.
+        for start, x, y in _path_blocks(sample, counts[-1]):
+            j, stop = start // _PATH_BLOCK, start + len(x)
             m1, k = fill.m1, fill.total
             block = bufs[j % 2, : _block_rows(k + 1), : (stop - start) * width]
             if fill != dims and j < TRIM_AFTER_BLOCKS + 3:  # each buffer's first trimmed block
                 block[k + 1 :] = 0.0
-            eval_rows(phi, m1, sample.x[start:stop, lo:hi].ravel(), out=block[:m1])
-            eval_rows(psi, fill.m2, sample.y[start:stop, lo:hi].ravel(), out=block[m1:k])
-            np.subtract(
-                sample.x[start:stop, lo + 1 : hi + 1],
-                sample.x[start:stop, lo:hi],
-                out=block[k].reshape(stop - start, width),
-            )
+            eval_rows(phi, m1, x[:, lo:hi].ravel(), out=block[:m1])
+            eval_rows(psi, fill.m2, y[:, lo:hi].ravel(), out=block[m1:k])
+            np.subtract(x[:, lo + 1 : hi + 1], x[:, lo:hi], out=block[k].reshape(stop - start, width))
+            del x, y  # the last views of a chunk, freed before the next chunk is made
             inside = [n for n in counts if start < n < stop]
             product = helper.submit(_products, block, [(n - start) * width for n in inside])
             if pending is not None:
@@ -329,18 +354,19 @@ def inv_opnorm(gram: np.ndarray) -> float:
 
 
 def build_design(
-    sample: PathSample,
+    sample: PathSample | PathStream,
     phi: BasisFamily,
     psi: BasisFamily,
     dims: DimPair,
     t_norm: float | None = None,
 ) -> DesignSystem:
-    """Assemble the complete design system at ``dims`` in one pass."""
+    """Assemble the complete design system at ``dims`` in one pass over ``sample``, a
+    :class:`~cpls.simulate.PathSample` or a :class:`~cpls.simulate.PathStream`."""
     return build_prefix_designs(sample, phi, psi, dims, (sample.n_paths,), t_norm)[0]
 
 
 def build_prefix_designs(
-    sample: PathSample,
+    sample: PathSample | PathStream,
     phi: BasisFamily,
     psi: BasisFamily,
     dims: DimPair,
@@ -356,7 +382,7 @@ def build_prefix_designs(
 
 
 def build_trimmed_designs(
-    sample: PathSample,
+    sample: PathSample | PathStream,
     phi: BasisFamily,
     psi: BasisFamily,
     dims: DimPair,
@@ -371,9 +397,10 @@ def build_trimmed_designs(
     summed by products of fewer rows. Every cut design is certified: no pair
     past its rows clears the floor, so none is admissible under either
     stability rule. A count whose cut fails the certificate gets its full
-    design instead, all such counts from one more pass. Each design is
-    bitwise the trimmed design of its prefix sample alone. Designs of at
-    most 144 paths are never trimmed.
+    design instead, all such counts from one more pass (which simulates a
+    stream's chunks again). Each design is bitwise the trimmed design of
+    its prefix sample alone. Designs of at most 144 paths are never
+    trimmed.
     """
     designs = _designs(sample, phi, psi, dims, counts, t_norm, trim=True)
     redo = [n for n, system in zip(counts, designs) if not _cut_holds(system, dims)]

@@ -1,10 +1,12 @@
 """Monte-Carlo harness: repeated estimation runs and summary statistics.
 
-Each repetition draws a fresh sample of N path pairs, derives a quantile box
-from the first path (2%/98% quantiles for X, 1%/99% for Y, over the
-observations kept after the burn-in), runs the adaptive and oracle selectors
-off one shared dimension scan, and integrates the squared estimation errors
-over the box with composite Simpson quadrature.
+Each repetition streams a fresh sample of N path pairs through the design
+pass (:class:`cpls.simulate.PathStream`, one chunk of paths held at a
+time), derives a quantile box from the first path (2%/98% quantiles for X,
+1%/99% for Y, over the observations kept after the burn-in), runs the
+adaptive and oracle selectors off one shared dimension scan, and integrates
+the squared estimation errors over the box with composite Simpson
+quadrature.
 
 The box errors of every pair's fit come from one QR factor per side of the
 box (:func:`mse_box`), and both the oracle's criterion and the MSE columns
@@ -41,10 +43,8 @@ mean selected dimensions, one block per drift component.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import contextlib
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -62,19 +62,20 @@ from .selection import (
     select_adaptive_from_scan,
     select_oracle_from_scan,
 )
-# Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps this binding.
-from .selection import scan_dimension_grid
 from .simulate import (
     DRIFT_PAIRS,
     Y_TYPES,
     GridSpec,
     PathSample,
+    PathStream,
     SdeModel,
     check_seed,
     explanatory_by_name,
-    generate_sample,
     make_model,
 )
+# Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these bindings.
+from .selection import scan_dimension_grid
+from .simulate import generate_sample
 
 BEAM_GRID_POINTS = 400
 
@@ -99,11 +100,12 @@ class QuantileBox:
             raise ValueError(f"degenerate quantile box {self}")
 
 
-def quantile_box(sample: PathSample) -> QuantileBox:
+def quantile_box(sample: PathSample | PathStream) -> QuantileBox:
     """Quantile box of path 0, burn-in observations excluded."""
     lo = sample.grid.drop_first
-    xs = sample.x[0, lo:]
-    ys = sample.y[0, lo:]
+    x0, y0 = sample.first_path()
+    xs = x0[lo:]
+    ys = y0[lo:]
     qx = np.quantile(xs, [0.02, 0.98])
     qy = np.quantile(ys, [0.01, 0.99])
     return QuantileBox(a_x=float(qx[0]), b_x=float(qx[1]), a_y=float(qy[0]), b_y=float(qy[1]))
@@ -236,6 +238,10 @@ def worker_pool(workers: int):
     for var, value in saved.items():
         if value is None:
             os.environ[var] = "1"
+    # Imported here, so that a serial run and ``import cpls`` do not load them.
+    import concurrent.futures
+    import multiprocessing
+
     try:
         ctx = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
@@ -266,9 +272,9 @@ class _RepTask:
 def _run_rep(task: _RepTask) -> list[RepRecord]:
     """One record per N of the task; any error inside a repetition is recorded, not raised.
 
-    One sample of the largest N, its quantile box and the designs of every N
-    (:func:`_shared_designs`) serve all of them; the scan, the selection and
-    the box MSE then run per N, and an error there fails that N's record
+    One stream of the largest N's paths, its quantile box and the designs of
+    every N (:func:`_shared_designs`) serve all of them; the scan, the
+    selection and the box MSE then run per N, and an error there fails that N's record
     only. A task of one N is the one-count case of the same path. If the
     shared step of a task of several N raises, say because a path beyond the
     smallest N diverged, each N reruns as a task of its own, so the error
@@ -302,15 +308,19 @@ def _failed(rep: int, seed: int, exc: Exception) -> RepRecord:
 
 
 def _shared_designs(task: _RepTask, seed: int) -> tuple[SdeModel, QuantileBox, list[DesignSystem]]:
-    """The model, the quantile box of the largest N's sample and the trimmed scan design of every N."""
+    """The model, the quantile box of the largest N's sample and the trimmed scan design of every N.
+
+    The sample is streamed through the design pass, so the step holds one
+    chunk of paths at a time, whatever N is; the box reads path 0, kept
+    from the first chunk.
+    """
     cfg = task.config
     model = make_model(task.model_id, sigma=cfg.sigma, x0=cfg.x0)
     spec = explanatory_by_name(task.y_type, sigma_y=cfg.sigma_y)
-    sample = generate_sample(model, spec, cfg.grid, task.n_paths[-1], seed)
-    box = quantile_box(sample)
+    stream = PathStream(model, spec, cfg.grid, task.n_paths[-1], seed)
     bounds = scan_bounds(cfg.selection, task.n_paths[0])  # the same for every N of the task
-    designs = build_trimmed_designs(sample, cfg.phi, cfg.psi, bounds, task.n_paths, sample.grid.total_time)
-    return model, box, designs
+    designs = build_trimmed_designs(stream, cfg.phi, cfg.psi, bounds, task.n_paths, cfg.grid.total_time)
+    return model, quantile_box(stream), designs
 
 
 def _record(rep: int, seed: int, model: SdeModel, box: QuantileBox, scan: DimensionScan) -> RepRecord:
@@ -384,9 +394,10 @@ def run_cells(
     size n is the first n paths of any larger one, and the quantile box,
     taken from path 0, is the same. Cells of one (model, Y type) whose scan
     rectangles ``min(max_m, N)`` agree therefore run as one task per
-    repetition: it simulates the largest N once, takes the box once, and
-    assembles every N's design in one pass, each checkpointed at its path
-    count and trimmed alike (:func:`cpls.design.build_trimmed_designs`).
+    repetition: it streams the largest N's paths once through one design
+    pass, which gives every N's design, each checkpointed at its path count
+    and trimmed alike (:func:`cpls.design.build_trimmed_designs`), and
+    takes the box once.
     The designs are bitwise those of standalone runs; scan, selection and
     box MSE then run per N. A cell that shares its rectangle with no other
     N is a task of one N on the same path, as in ``run_experiment``.

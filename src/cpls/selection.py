@@ -61,7 +61,7 @@ from .estimator import FitResult, StabilityRule, fit_nested_pairs, stability_eve
 # Unused here: the benchmark's tracer (benchmarks/tracing.py) wraps these three bindings.
 from .design import build_design
 from .estimator import fit_residuals, solve_constrained
-from .simulate import PathSample
+from .simulate import PathSample, PathStream
 
 #: Default scan bound for both dimensions: the smallest value at which no
 #: adaptive choice on the benchmark grid sits on the edge of the scan
@@ -263,7 +263,7 @@ def scan_bounds(config: SelectionConfig, n_paths: int) -> DimPair:
 
 
 def scan_dimension_grid(
-    sample: PathSample,
+    sample: PathSample | PathStream,
     phi: BasisFamily,
     psi: BasisFamily,
     config: SelectionConfig,
@@ -272,7 +272,8 @@ def scan_dimension_grid(
 
     The design is assembled once at the scan bounds (each capped at the
     number of paths), trimmed to the rows an admissible pair can reach
-    (:func:`cpls.design.build_trimmed_designs`).
+    (:func:`cpls.design.build_trimmed_designs`), in one pass over the
+    sample's chunks.
     """
     n = sample.n_paths
     dims = scan_bounds(config, n)

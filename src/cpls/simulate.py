@@ -29,6 +29,19 @@ keeps the two equal; ``tests/test_simulate.py`` checks them against numpy.
 The Euler scheme and the Ornstein-Uhlenbeck recursion step all paths
 together over a time-major copy, in the same floating-point order as a
 path-by-path loop, so every path's values do not depend on the batch.
+
+So a sample need not be held whole. :class:`PathStream` is the sample of
+:func:`generate_sample` made ``CHUNK_PATHS`` = 256 consecutive paths at a
+time, each chunk simulated alone from its paths' own streams and bitwise
+the same rows of the whole sample. The design pass (:mod:`cpls.design`)
+reads either source chunk by chunk, a :class:`PathSample` as one chunk of
+views, so a streamed repetition holds one chunk and its scratch arrays,
+12 kB a path (3.1 MB at 256 paths), whatever N is; a whole sample of
+N = 1000 paths with its scratch takes 12 MB. A chunk is a multiple of the
+design's 16-path block, so its edges are block edges. Each chunk pays the
+interpreter overhead of the 500-step loop again (about 3 ms), so the size
+trades time against memory: 1000 paths took 29 ms whole and 34 ms in
+chunks of 256 (see README, "The design assembly").
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -163,6 +176,14 @@ class PathSample:
     def n_paths(self) -> int:
         return self.x.shape[0]
 
+    def chunks(self, stop: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The X and Y rows of the first ``stop`` paths (default: all), as one chunk of views."""
+        yield self.x[:stop], self.y[:stop]
+
+    def first_path(self) -> tuple[np.ndarray, np.ndarray]:
+        """The X and Y rows of path 0."""
+        return self.x[0], self.y[0]
+
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
 # seeding (numpy/random/src/pcg64), restated for whole arrays of paths.
@@ -225,8 +246,8 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def path_seeds(seed: int, n_paths: int) -> list[tuple[int, int]]:
-    """Derive one (Y-stream, X-stream) integer seed pair per path index.
+def path_seeds(seed: int, n_paths: int, start: int = 0) -> list[tuple[int, int]]:
+    """Derive one (Y-stream, X-stream) integer seed pair per path index in [start, n_paths).
 
     Path i's pair is ``SeedSequence(seed).spawn(n)[i].generate_state(2,
     np.uint64)``, for any ``n > i``. The hash runs once over the uint32
@@ -236,7 +257,7 @@ def path_seeds(seed: int, n_paths: int) -> list[tuple[int, int]]:
     seed = check_seed(seed)
     words = [seed >> 32 * k & _MASK32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
     words += [0] * (_POOL_SIZE - len(words))
-    pool = _pool(words + [np.arange(n_paths, dtype=np.uint32)])
+    pool = _pool(words + [np.arange(start, n_paths, dtype=np.uint32)])
     y_seeds, x_seeds = _state_words(pool, 2)
     return list(zip(y_seeds.tolist(), x_seeds.tolist()))
 
@@ -288,7 +309,9 @@ def _normals(seeds: Sequence[int], n: int, out: np.ndarray | None = None) -> np.
 # first a table1 worker's peak RSS was 7 MB (11 %) higher.
 
 
-def _simulate_y_batch(spec: ExplanatorySpec, grid: GridSpec, seeds: Sequence[int]) -> np.ndarray:
+def _simulate_y_batch(
+    spec: ExplanatorySpec, grid: GridSpec, seeds: Sequence[int], first: int = 0
+) -> np.ndarray:
     n = grid.n_steps
     out = np.empty((len(seeds), n + 1))
     if spec.kind is YKind.ORNSTEIN_UHLENBECK:
@@ -314,7 +337,7 @@ def _simulate_y_batch(spec: ExplanatorySpec, grid: GridSpec, seeds: Sequence[int
         out *= spec.sigma_y
         out *= poly
     if not np.isfinite(out).all():
-        i = int(np.argwhere(~np.isfinite(out))[0, 0])
+        i = first + int(np.argwhere(~np.isfinite(out))[0, 0])
         raise SimulationError(f"explanatory path {i} became non-finite", path=i)
     return out
 
@@ -325,7 +348,7 @@ _STEP_BLOCK = 16
 
 
 def _simulate_x_batch(
-    model: SdeModel, y: np.ndarray, grid: GridSpec, seeds: Sequence[int]
+    model: SdeModel, y: np.ndarray, grid: GridSpec, seeds: Sequence[int], first: int = 0
 ) -> np.ndarray:
     n = grid.n_steps
     dt = grid.dt
@@ -337,9 +360,11 @@ def _simulate_x_batch(
     np.multiply(x[:, 1:].T, math.sqrt(dt), out=xt[1:])
     xt[0] = model.x0
     drift = np.empty(len(seeds))
-    constant = model.sigma.value if isinstance(model.sigma, ConstantSigma) else None
+    constant = isinstance(model.sigma, ConstantSigma)
     # Overflow in a diverging path is caught via the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
+        if constant:  # each step's product sigma * (sqrt(dt) xi), for all steps at once
+            xt[1:] *= model.sigma.value
         for start in range(0, n, _STEP_BLOCK):
             stop = min(start + _STEP_BLOCK, n)
             b_y = model.b(np.ascontiguousarray(y[:, start:stop].T))
@@ -350,11 +375,13 @@ def _simulate_x_batch(
                 drift *= dt
                 drift += cur
                 nxt = xt[ell + 1]
-                nxt *= model.sigma(cur) if constant is None else constant
+                if not constant:
+                    nxt *= model.sigma(cur)
                 nxt += drift
             block = xt[start + 1 : stop + 1]
             if not np.isfinite(block).all():
                 row, i = np.argwhere(~np.isfinite(block))[0].tolist()
+                i += first
                 step = start + 1 + row
                 raise SimulationError(f"path {i} became non-finite at step {step}", path=i, step=step)
     np.copyto(x, xt.T)
@@ -376,10 +403,67 @@ def generate_sample(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    pairs = path_seeds(seed, n_paths)
-    y = _simulate_y_batch(spec, grid, [p[0] for p in pairs])
-    x = _simulate_x_batch(model, y, grid, [p[1] for p in pairs])
-    return PathSample(grid, x, y)
+    return PathSample(grid, *_simulate(model, spec, grid, seed, 0, n_paths))
+
+
+def _simulate(model: SdeModel, spec: ExplanatorySpec, grid: GridSpec, seed: int,
+              start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y of paths ``start .. stop - 1``; a divergence names its path in the whole sample."""
+    pairs = path_seeds(seed, stop, start)
+    y = _simulate_y_batch(spec, grid, [p[0] for p in pairs], first=start)
+    x = _simulate_x_batch(model, y, grid, [p[1] for p in pairs], first=start)
+    return x, y
+
+
+#: Paths per chunk of a :class:`PathStream`: a multiple of the design pass's
+#: 16-path block (see the module docstring for the choice).
+CHUNK_PATHS = 256
+
+
+class PathStream:
+    """The sample of ``generate_sample(model, spec, grid, n_paths, seed)``, made chunk by chunk.
+
+    :meth:`chunks` simulates consecutive chunks of ``CHUNK_PATHS`` paths
+    (the last one shorter), each from its paths' own streams, so they are
+    bitwise the rows of the whole sample; every call simulates them afresh.
+    A path that diverges raises the :class:`SimulationError` of its chunk,
+    which names the path's index in the whole sample. When only one path
+    diverges, that is the error of :func:`generate_sample`; when several
+    do, the first chunk's divergence comes first. Path 0's rows are kept
+    from the first chunk simulated (:meth:`first_path`).
+    """
+
+    def __init__(self, model: SdeModel, spec: ExplanatorySpec, grid: GridSpec, n_paths: int, seed: int):
+        if n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+        self.model = model
+        self.spec = spec
+        self.grid = grid
+        self.n_paths = n_paths
+        self.seed = check_seed(seed)
+        self._first: tuple[np.ndarray, np.ndarray] | None = None
+
+    def chunks(self, stop: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The X and Y rows of each chunk of the first ``stop`` paths (default: all), in order."""
+        stop = self.n_paths if stop is None else stop
+        for start in range(0, stop, CHUNK_PATHS):
+            # No local name keeps a chunk, so the consumer's release of one
+            # frees it before the next is simulated.
+            yield self._chunk(start, min(start + CHUNK_PATHS, stop))
+
+    def _chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        x, y = _simulate(self.model, self.spec, self.grid, self.seed, start, stop)
+        x.flags.writeable = False
+        y.flags.writeable = False
+        if start == 0 and self._first is None:
+            self._first = x[0].copy(), y[0].copy()
+        return x, y
+
+    def first_path(self) -> tuple[np.ndarray, np.ndarray]:
+        """The X and Y rows of path 0, simulated alone if no chunk has been yet."""
+        if self._first is None:
+            self._chunk(0, 1)
+        return self._first
 
 
 # ---------------------------------------------------------------------------

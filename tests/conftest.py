@@ -48,7 +48,7 @@ def quantile_box_failing_on(first_x):
     """
 
     def box(sample):
-        if np.array_equal(sample.x[0], first_x):
+        if np.array_equal(sample.first_path()[0], first_x):
             return QuantileBox(0.0, 0.0, 0.0, 1.0)  # raises ValueError
         return quantile_box(sample)
 

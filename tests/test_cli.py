@@ -36,6 +36,20 @@ def test_runtime_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_no_executors():
+    # cpls.experiments.worker_pool imports the process-pool machinery when it
+    # starts a pool, and the design pass its thread executor when it runs, so
+    # `import cpls` loads neither.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = ("import sys, cpls, cpls.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 FAST = [
     "--n-steps", "60", "--dt", "0.05", "--drop", "3",
     "--max-m1", "3", "--max-m2", "3",
@@ -307,8 +321,8 @@ class TestConfigHandling:
                              ids=[" ".join(args) for args, _ in _INVALID_SETTINGS])
     def test_invalid_settings_fail_before_any_repetition(self, tmp_path, capsys, monkeypatch,
                                                         args, message):
-        import cpls.cli as climod
         import cpls.experiments as expmod
+        import cpls.simulate as simmod
 
         def no_repetition(task):
             raise AssertionError("a repetition ran")
@@ -321,7 +335,7 @@ class TestConfigHandling:
 
         monkeypatch.setattr(expmod, "_run_rep", no_repetition)
         monkeypatch.setattr(expmod, "worker_pool", no_pool)
-        monkeypatch.setattr(climod, "generate_sample", no_sample)
+        monkeypatch.setattr(simmod, "_simulate", no_sample)
         # The probe's flags come last, so they override the fast settings.
         out = tmp_path / "out"
         code = run_cli([args[0], "--out", str(out), *FAST, *args[1:]])

@@ -276,6 +276,44 @@ def test_trimmed_prefix_designs_are_standalone():
         np.testing.assert_allclose(system.zvec, full.zvec, rtol=0, atol=1e-12 * np.abs(full.zvec).max())
 
 
+@pytest.mark.parametrize("forced_fallback", [False, True])
+def test_stream_designs_equal_the_sample_designs(monkeypatch, forced_fallback):
+    # The trimmed pass over a stream of 600 paths, checkpointed inside the
+    # block in flight at the decision (130), at the first chunk's edge
+    # (256), inside the first block of the second chunk (260), at the
+    # second edge (512) and inside the short last chunk (600): each design
+    # is bitwise that of the whole sample. With the hull forced too small,
+    # every cut fails its certificate and the fallback pass simulates the
+    # stream's chunks again.
+    from cpls.simulate import CHUNK_PATHS, PathStream, explanatory_by_name, generate_sample, make_model
+
+    assert CHUNK_PATHS == 256
+    if forced_fallback:
+        forced_small_hull(monkeypatch)
+    model, spec = make_model(3), explanatory_by_name("B")
+    sample = generate_sample(model, spec, GridSpec(), 600, seed=4)
+    stream = PathStream(model, spec, GridSpec(), 600, seed=4)
+    passes = []
+    real_chunks = stream.chunks
+
+    def counting_chunks(stop=None):
+        passes.append(stop)
+        return real_chunks(stop)
+
+    stream.chunks = counting_chunks
+    dims = DimPair(39, 39)
+    counts = (130, 256, 260, 512, 600)
+    want = design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts)
+    got = design.build_trimmed_designs(stream, HERMITE, HERMITE, dims, counts)
+    assert passes == ([600, 600] if forced_fallback else [600])
+    assert got[0].dims == dims and (got[-1].dims == dims) == forced_fallback
+    for system, ref in zip(got, want):
+        assert system.dims == ref.dims
+        np.testing.assert_array_equal(system.gram, ref.gram)
+        np.testing.assert_array_equal(system.zvec, ref.zvec)
+        np.testing.assert_array_equal(system.dvec, ref.dvec)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n_paths=st.integers(2, 10**9),

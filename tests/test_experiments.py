@@ -174,18 +174,18 @@ class TestRunExperiment:
         pools = []
         sizes = []
         real_pool = expmod.worker_pool
-        real_sample = expmod.generate_sample
+        real_stream = expmod.PathStream
 
         def counting_pool(workers):
             pools.append(workers)
             return real_pool(workers)
 
-        def counting_sample(model, spec, grid, n_paths, seed):
+        def counting_stream(model, spec, grid, n_paths, seed):
             sizes.append(n_paths)
-            return real_sample(model, spec, grid, n_paths, seed)
+            return real_stream(model, spec, grid, n_paths, seed)
 
         monkeypatch.setattr(expmod, "worker_pool", counting_pool)
-        monkeypatch.setattr(expmod, "generate_sample", counting_sample)
+        monkeypatch.setattr(expmod, "PathStream", counting_stream)
         # (1, A) at N = 8 and 12 share one 4 x 3 scan rectangle, so one
         # sample; (2, B) at N = 3 scans 3 x 3 and at N = 10 scans 4 x 3, so
         # each N draws its own.
@@ -204,22 +204,27 @@ class TestRunExperiment:
                 assert_same_records(report.per_rep, serial[cell].per_rep)
 
     def test_diverging_path_beyond_the_small_n_fails_only_the_large_n(self, monkeypatch):
-        # Repetition 1's sample diverges at path 9, which only N = 12 draws:
-        # the shared step fails, each N reruns on its own, and N = 8 keeps
-        # the record of a standalone run.
+        # Repetition 1's stream diverges at path 9, which only N = 12 draws:
+        # the shared step fails inside its design pass, each N reruns on its
+        # own, and N = 8 keeps the record of a standalone run.
         import cpls.experiments as expmod
         from cpls.simulate import SimulationError
 
-        real_sample = expmod.generate_sample
+        real_stream = expmod.PathStream
         sizes = []
 
         def diverging(model, spec, grid, n_paths, seed):
             sizes.append(n_paths)
+            stream = real_stream(model, spec, grid, n_paths, seed)
             if seed == rep_seed(6, 1) and n_paths > 9:
-                raise SimulationError("path 9 became non-finite at step 5", path=9, step=5)
-            return real_sample(model, spec, grid, n_paths, seed)
+                def chunks(stop=None):
+                    raise SimulationError("path 9 became non-finite at step 5", path=9, step=5)
+                    yield
 
-        monkeypatch.setattr(expmod, "generate_sample", diverging)
+                stream.chunks = chunks
+            return stream
+
+        monkeypatch.setattr(expmod, "PathStream", diverging)
         small, large = run_cells([(2, "B", 8), (2, "B", 12)], 2, seed=6, config=tiny_config())
         assert sizes == [12, 12, 8, 12]  # rep 0 shared; rep 1 shared, then each N alone
         monkeypatch.undo()
@@ -442,6 +447,33 @@ def test_trimmed_prefix_report_is_the_standalone_one(monkeypatch, forced_fallbac
     alone = run_experiment(3, "B", 400, 2, seed=8, config=cfg)
     assert shared.summary == alone.summary
     assert_same_records(shared.per_rep, alone.per_rep)
+
+
+def test_stream_shared_step_memory_is_flat_in_n():
+    # A repetition's shared step streams its sample through the design pass:
+    # at a 5 x 5 bound it holds the two block buffers (1.4 MB), one chunk of
+    # 256 paths (2.1 MB) and its simulator's scratch, whatever N is. The
+    # whole sample's X and Y alone take 8 MB at N = 1000 and 32 MB at 4000.
+    import tracemalloc
+
+    import cpls.experiments as expmod
+
+    cfg = ExperimentConfig(selection=SelectionConfig(max_m1=5, max_m2=5))
+
+    def peak(n):
+        task = expmod._RepTask(model_id=2, y_type="A", n_paths=(n,), rep=0, master_seed=3, config=cfg)
+        tracemalloc.start()
+        try:
+            expmod._shared_designs(task, rep_seed(3, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(300)  # the first call's one-time allocations
+    small, large = peak(1000), peak(4000)
+    whole = 2 * 1000 * (cfg.grid.n_steps + 1) * 8
+    assert small < whole and large < whole
+    assert large <= 1.02 * small
 
 
 def test_traced_names_resolve():

@@ -246,6 +246,70 @@ class TestGenerateSample:
             s.x[0, 0] = 99.0
 
 
+class TestPathStream:
+    """The streamed sample against the whole one."""
+
+    @pytest.mark.parametrize("model_id", sorted(sim.DRIFT_PAIRS))
+    @pytest.mark.parametrize("y_type", sorted(sim.Y_TYPES))
+    def test_stream_equals_the_whole_sample(self, model_id, y_type):
+        # N = 300 is a multiple of neither the 16-path block nor the chunk,
+        # so the stream ends in a short chunk whose last block is short too.
+        from cpls.design import _PATH_BLOCK
+
+        assert sim.CHUNK_PATHS % _PATH_BLOCK == 0
+        model = sim.make_model(model_id)
+        spec = sim.explanatory_by_name(y_type)
+        whole = sim.generate_sample(model, spec, GridSpec(), 300, seed=2**64 + 5)
+        stream = sim.PathStream(model, spec, GridSpec(), 300, seed=2**64 + 5)
+        xs, ys = zip(*stream.chunks())
+        assert [len(x) for x in xs] == [sim.CHUNK_PATHS, 300 - sim.CHUNK_PATHS]
+        np.testing.assert_array_equal(_bits(np.concatenate(xs)), _bits(whole.x))
+        np.testing.assert_array_equal(_bits(np.concatenate(ys)), _bits(whole.y))
+        assert not xs[1].flags.writeable and not ys[1].flags.writeable
+        for got, want in zip(stream.first_path(), whole.first_path()):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_stream_prefix_and_path_zero_alone(self, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK_PATHS", 16)
+        grid = GridSpec(n_steps=60, dt=0.05, drop_first=3)
+        model, spec = sim.make_model(3), sim.explanatory_by_name("B")
+        whole = sim.generate_sample(model, spec, grid, 50, seed=4)
+        stream = sim.PathStream(model, spec, grid, 50, seed=4)
+        # path 0 before any chunk: simulated alone, bitwise the same
+        np.testing.assert_array_equal(stream.first_path()[0], whole.x[0])
+        np.testing.assert_array_equal(stream.first_path()[1], whole.y[0])
+        xs, ys = zip(*stream.chunks(37))
+        assert [len(x) for x in xs] == [16, 16, 5]
+        np.testing.assert_array_equal(np.concatenate(xs), whole.x[:37])
+        np.testing.assert_array_equal(np.concatenate(ys), whole.y[:37])
+
+    def test_stream_divergence_in_the_second_chunk_names_the_global_path(self):
+        # dX = (-X + 0.1 X^3 + b(Y)) dt + 1.2 dW1 escapes its well past
+        # |X| = 3.2 and then blows up. At this seed only path 277 of 300 does,
+        # in the second chunk: the stream raises the error of the whole
+        # sample, with the path's index in it, not in its chunk.
+        grid = GridSpec(n_steps=100, dt=0.02, drop_first=5)
+        model = SdeModel(a=lambda x: -x + 0.1 * x**3, b=lambda y: y / (1 + y * y),
+                         sigma=sim.ConstantSigma(1.2))
+        spec = sim.explanatory_by_name("B")
+        with pytest.raises(SimulationError) as whole:
+            sim.generate_sample(model, spec, grid, 300, seed=20)
+        assert whole.value.path >= sim.CHUNK_PATHS
+        stream = sim.PathStream(model, spec, grid, 300, seed=20)
+        chunks = stream.chunks()
+        next(chunks)
+        with pytest.raises(SimulationError) as streamed:
+            next(chunks)
+        assert (streamed.value.path, streamed.value.step) == (whole.value.path, whole.value.step)
+        assert str(streamed.value) == str(whole.value)
+
+    def test_stream_validation(self):
+        model, spec = sim.make_model(1), sim.explanatory_by_name("A")
+        for n_paths, seed in [(0, 1), (5, -1)]:
+            with pytest.raises(ValueError):
+                sim.PathStream(model, spec, GridSpec(), n_paths, seed)
+
+
 _SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**130 + 12345]
 
 
@@ -265,6 +329,8 @@ class TestSeeding:
         children = np.random.SeedSequence(seed).spawn(n_paths)
         expected = [tuple(int(v) for v in c.generate_state(2, np.uint64)) for c in children]
         assert sim.path_seeds(seed, n_paths) == expected
+        start = n_paths // 3
+        assert sim.path_seeds(seed, n_paths, start) == expected[start:]
 
     @settings(max_examples=60, deadline=None)
     @given(
