@@ -21,7 +21,10 @@ The Hermite family is also exactly zero in its far tail, where
 |x| > max(x0, sqrt(2m + 1) + 17) for the first ``m`` members. There
 x0 = 26.605 is the point where h_0 = 2^-511, so below x0 every product of
 two members is a normal number; beyond it the recurrence would make
-subnormal values, whose products slow the design's BLAS product. A scaled
+subnormal values, whose products slow the design's BLAS product: about
+30 % of a Y (A) sample's points lie that far out, and there a design
+block's product took 2.15 ms against 1.93 ms with the zeros, as long as a
+Y (B) block takes. The zeros keep the designs' bits. A scaled
 recurrence, which cannot underflow, puts every member below 1e-111 at the
 cut for m = 1 ... 1000; a cut at x0 alone would not be safe, as the members
 of m = 300 reach 5e-8 there. For m <= 45, which covers the default scan

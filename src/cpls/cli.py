@@ -46,7 +46,6 @@ from .experiments import (
 )
 from .selection import (
     SelectionConfig,
-    scan_bounds,
     scan_dimension_grid,
     select_adaptive_from_scan,
 )
@@ -315,8 +314,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     model = make_model(settings["model"], sigma=settings["sigma"], x0=settings["x0"])
     spec = explanatory_by_name(settings["y"], sigma_y=settings["sigma_y"])
-    scan_bounds(config.selection, settings["n"])  # rejects N < 2 before the simulation
-    # The scan's design pass simulates the paths chunk by chunk as it reads them.
+    # The scan's design pass simulates the paths chunk by chunk as it reads
+    # them, after its scan_bounds has rejected N < 2.
     stream = PathStream(model, spec, config.grid, settings["n"], settings["seed"])
     scan = scan_dimension_grid(stream, config.phi, config.psi, config.selection)
     result = select_adaptive_from_scan(scan)

@@ -10,9 +10,9 @@ window [t0, T] with left-point Riemann sums:
   (left-point Ito discretization of the stochastic integral), and
 * the constraint vector ``dvec = (0, ..., 0, delta_{m2})``.
 
-``T0`` defaults to the window length T - t0; the experiment protocol
-normalizes by the full horizon T instead, which callers select via
-``t_norm``.
+``T0`` is the caller's ``t_norm``, which has no default: every caller in
+the package passes the full horizon T, the experiment protocol's
+normalizer.
 
 The sums run over blocks of ``_PATH_BLOCK`` paths, in a fixed order, so
 reruns give the same bits. The paths come from a source's chunks: a
@@ -28,10 +28,18 @@ yields both the Gram sums and the dX-sums. Two buffers take the blocks in
 turn: the calling thread fills one block while a helper thread multiplies
 the one before, and the caller adds the products to the running sums in
 block order (see :func:`_accumulate`). So the bits depend on the block size
-alone, not on which thread made a product or when.
+alone, not on which thread made a product or when. At the default 39 x 39
+bound the two buffers, of 80 rows each, take 9.8 MB together.
+
+A streamed pass holds the two buffers, allocated first, and one chunk with
+the simulator's scratch (3.1 MB at 256 paths). Measured with tracemalloc
+over a repetition's shared step at N = 1000 and the default bound, it
+peaked at 13.2 MB, against 18.1 MB for the whole sample; at a 5 x 5 bound
+the step holds the same 4.6 MB at N = 1000 and N = 4000. The simulator's
+docstring says how ``CHUNK_PATHS`` = 256 was chosen.
 
 One pass can return the designs of several prefixes of the sample, the
-first n paths for each n asked (:func:`build_prefix_designs`), which is how
+first n paths for each n asked (:func:`build_trimmed_designs`), which is how
 one sample of N = 1000 paths also gives the N = 400 design of the same
 repetition. The running sums are checkpointed at each n: at a block
 boundary as they stand; inside a block, plus the product of that block's
@@ -68,20 +76,29 @@ so when the pairs at the cut, (E1, 1) if E1 < M1 and (1, E2) if E2 < M2,
 fail the floor in the final design, they fail the event, and by Cauchy
 interlacing (the admissible set is a down-set) so does every pair past the
 cut. When one of them clears the floor, the builder rebuilds that count's
-design untrimmed from its first n paths (:func:`build_prefix_designs`, one
-more pass for all such counts), which is bitwise the full design. Under the practical rule with the default cutoff
-1e14 the floor and the event agree on every pair: a block that clears the
-floor has ``k |G^-1| < 1e12``, below the event's bound ``cutoff N / log N``
-(at least 2.7e14 for N >= 2). So the check decides as the scan's own
-frontier would. Under the theoretical rule or a small cutoff it may fall
-back where the event would not, which gives the untrimmed bits.
+design untrimmed from its first n paths (one more pass for all such
+counts), which is bitwise the full design. Under the practical rule with
+the default cutoff 1e14 the floor and the event agree on every pair: a
+block that clears the floor has ``k |G^-1| < 1e12``, below the event's
+bound ``cutoff N / log N`` (at least 2.7e14 for N >= 2). So the check
+decides as the scan's own frontier would. Under the theoretical rule or a
+small cutoff it may fall back where the event would not, which gives the
+untrimmed bits. Over the 12 table-1 cells at seeds 1-30, no design fell
+back.
+
+A cut design's entries are those of the full design, summed by products
+of fewer rows; OpenBLAS may order an entry's sum differently at another row
+count, so a scan's coefficients may move in their last bits. On the model 3
+x Y (B), N = 1000 samples of the benchmark's ``fit-3B-1000`` workload the
+pass fills about 60 of 80 rows after its first 144 paths, and a fit took
+20-28 % less time than with every row (one BLAS thread, 2 cores).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,22 +157,6 @@ def _products(block: np.ndarray, cuts: Sequence[int]) -> tuple[np.ndarray, list[
     return block @ block.T, [block[:, :c] @ block[:, :c].T for c in cuts]
 
 
-def _path_blocks(sample: PathSample | PathStream, stop: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The first path, X rows and Y rows of each block of the first ``stop`` paths, in order.
-
-    A block holds ``_PATH_BLOCK`` paths of one chunk, the last block of the
-    last chunk fewer. Every chunk before the last holds whole blocks
-    (``CHUNK_PATHS`` is a multiple of ``_PATH_BLOCK``), so the blocks start
-    at the same paths as in one whole sample.
-    """
-    start = 0
-    for x, y in sample.chunks(stop):
-        for lo in range(0, len(x), _PATH_BLOCK):
-            yield start + lo, x[lo : lo + _PATH_BLOCK], y[lo : lo + _PATH_BLOCK]
-        start += len(x)
-        del x, y  # so the chunk is freed before the next is simulated
-
-
 def _accumulate(
     sample: PathSample | PathStream,
     phi: BasisFamily,
@@ -167,8 +168,10 @@ def _accumulate(
 ) -> list[tuple[DimPair, np.ndarray, np.ndarray]]:
     """Dimensions, Gram matrix and observation vector of the first ``n`` paths, for each ``n`` in ``counts``.
 
-    The paths run in blocks of at most ``_PATH_BLOCK``, read from the
-    sample's chunks (:func:`_path_blocks`). Each block is a view of one
+    The paths run in blocks of at most ``_PATH_BLOCK`` paths of one of the
+    sample's chunks; every chunk before the last holds whole blocks
+    (``CHUNK_PATHS`` is a multiple of ``_PATH_BLOCK``), so the blocks start
+    at the same paths as in one whole sample. Each block is a view of one
     of two buffers, used in turn, with ``m1 + m2 + 1`` rows and one column
     per (path, window point), path-major. :func:`cpls.bases.eval_rows`
     writes the stacked basis values at the window's left points into rows
@@ -181,10 +184,10 @@ def _accumulate(
     multiple of 8, OpenBLAS's panel height, when that takes at most 3 rows
     more (79 -> 80 at the 39 x 39 bound). Measured with 7680 columns on one
     BLAS thread, a product 5, 6 or 7 rows past a multiple of 8 was no faster
-    than one of the next multiple, while 1 to 4 rows past were faster than
-    padding. The padding rows are zeroed once; their products are zero, and
-    the running sums, which take the buffers' row count, are read only in
-    ``[:k, :k]`` and ``[:k, k]``.
+    than one of the next multiple (79 rows took 1.94 ms, 80 rows 1.70 ms),
+    while 1 to 4 rows past were faster than padding. The padding rows are
+    zeroed once; their products are zero, and the running sums, which take
+    the buffers' row count, are read only in ``[:k, :k]`` and ``[:k, k]``.
 
     The calling thread fills block j + 1 while one helper thread computes
     block j's products, that one and the product of the leading columns at
@@ -252,27 +255,30 @@ def _accumulate(
     from concurrent.futures import ThreadPoolExecutor
 
     pending = None
+    first = 0  # the first path of the chunk being read
     with ThreadPoolExecutor(1) as helper:
-        # No enumerate: its reused result tuple would keep the last block of
-        # a chunk, and so the chunk, alive while the next one is simulated.
-        for start, x, y in _path_blocks(sample, counts[-1]):
-            j, stop = start // _PATH_BLOCK, start + len(x)
-            m1, k = fill.m1, fill.total
-            block = bufs[j % 2, : _block_rows(k + 1), : (stop - start) * width]
-            if fill != dims and j < TRIM_AFTER_BLOCKS + 3:  # each buffer's first trimmed block
-                block[k + 1 :] = 0.0
-            eval_rows(phi, m1, x[:, lo:hi].ravel(), out=block[:m1])
-            eval_rows(psi, fill.m2, y[:, lo:hi].ravel(), out=block[m1:k])
-            np.subtract(x[:, lo + 1 : hi + 1], x[:, lo:hi], out=block[k].reshape(stop - start, width))
-            del x, y  # the last views of a chunk, freed before the next chunk is made
-            inside = [n for n in counts if start < n < stop]
-            product = helper.submit(_products, block, [(n - start) * width for n in inside])
-            if pending is not None:
-                collect(*pending)
-            pending = (product, inside, stop, fill)
-            if trim and j == TRIM_AFTER_BLOCKS and stop < counts[-1]:
-                # the sums hold the first TRIM_AFTER_BLOCKS blocks; block j is in flight
-                fill = _trimmed_dims(normalized(start, sums)[1], dims)
+        for chunk_x, chunk_y in sample.chunks(counts[-1]):
+            for offset in range(0, len(chunk_x), _PATH_BLOCK):
+                x, y = chunk_x[offset : offset + _PATH_BLOCK], chunk_y[offset : offset + _PATH_BLOCK]
+                start = first + offset
+                j, stop = start // _PATH_BLOCK, start + len(x)
+                m1, k = fill.m1, fill.total
+                block = bufs[j % 2, : _block_rows(k + 1), : (stop - start) * width]
+                if fill != dims and j < TRIM_AFTER_BLOCKS + 3:  # each buffer's first trimmed block
+                    block[k + 1 :] = 0.0
+                eval_rows(phi, m1, x[:, lo:hi].ravel(), out=block[:m1])
+                eval_rows(psi, fill.m2, y[:, lo:hi].ravel(), out=block[m1:k])
+                np.subtract(x[:, lo + 1 : hi + 1], x[:, lo:hi], out=block[k].reshape(stop - start, width))
+                inside = [n for n in counts if start < n < stop]
+                product = helper.submit(_products, block, [(n - start) * width for n in inside])
+                if pending is not None:
+                    collect(*pending)
+                pending = (product, inside, stop, fill)
+                if trim and j == TRIM_AFTER_BLOCKS and stop < counts[-1]:
+                    # the sums hold the first TRIM_AFTER_BLOCKS blocks; block j is in flight
+                    fill = _trimmed_dims(normalized(start, sums)[1], dims)
+            first += len(chunk_x)
+            del chunk_x, chunk_y, x, y  # the chunk's last references, dropped before the next is simulated
         collect(*pending)
     return out
 
@@ -358,27 +364,11 @@ def build_design(
     phi: BasisFamily,
     psi: BasisFamily,
     dims: DimPair,
-    t_norm: float | None = None,
+    t_norm: float,
 ) -> DesignSystem:
     """Assemble the complete design system at ``dims`` in one pass over ``sample``, a
     :class:`~cpls.simulate.PathSample` or a :class:`~cpls.simulate.PathStream`."""
-    return build_prefix_designs(sample, phi, psi, dims, (sample.n_paths,), t_norm)[0]
-
-
-def build_prefix_designs(
-    sample: PathSample | PathStream,
-    phi: BasisFamily,
-    psi: BasisFamily,
-    dims: DimPair,
-    counts: Sequence[int],
-    t_norm: float | None = None,
-) -> list[DesignSystem]:
-    """Designs of the first ``n`` paths, for each ``n`` in the increasing ``counts``, in one pass.
-
-    Each is bitwise the design that :func:`build_design` makes of the
-    sample's first ``n`` paths (see :func:`_accumulate`).
-    """
-    return _designs(sample, phi, psi, dims, counts, t_norm, trim=False)
+    return _designs(sample, phi, psi, dims, (sample.n_paths,), t_norm, trim=False)[0]
 
 
 def build_trimmed_designs(
@@ -387,9 +377,10 @@ def build_trimmed_designs(
     psi: BasisFamily,
     dims: DimPair,
     counts: Sequence[int],
-    t_norm: float | None = None,
+    t_norm: float,
 ) -> list[DesignSystem]:
-    """:func:`build_prefix_designs`, each design cut to the rows a scan's admissible pairs can reach.
+    """Designs of the first ``n`` paths, for each ``n`` in the increasing ``counts``, in one
+    pass, each cut to the rows a scan's admissible pairs can reach.
 
     A design spans ``dims`` or, when the first 128 paths show a hull of
     pairs clearing the eigenvalue floor well inside it, smaller dimensions
@@ -397,7 +388,8 @@ def build_trimmed_designs(
     summed by products of fewer rows. Every cut design is certified: no pair
     past its rows clears the floor, so none is admissible under either
     stability rule. A count whose cut fails the certificate gets its full
-    design instead, all such counts from one more pass (which simulates a
+    design instead, bitwise the :func:`build_design` of its first ``n``
+    paths, all such counts from one more untrimmed pass (which simulates a
     stream's chunks again). Each design is bitwise the trimmed design of
     its prefix sample alone. Designs of at most 144 paths are never
     trimmed.
@@ -405,15 +397,13 @@ def build_trimmed_designs(
     designs = _designs(sample, phi, psi, dims, counts, t_norm, trim=True)
     redo = [n for n, system in zip(counts, designs) if not _cut_holds(system, dims)]
     if redo:
-        full = dict(zip(redo, build_prefix_designs(sample, phi, psi, dims, redo, t_norm)))
+        full = dict(zip(redo, _designs(sample, phi, psi, dims, redo, t_norm, trim=False)))
         designs = [full.get(n, system) for n, system in zip(counts, designs)]
     return designs
 
 
 def _designs(sample, phi, psi, dims, counts, t_norm, trim) -> list[DesignSystem]:
-    if t_norm is None:
-        t_norm = sample.grid.total_time - sample.grid.t0
-    elif not (t_norm > 0):
+    if not (t_norm > 0):
         raise ValueError(f"t_norm must be positive, got {t_norm!r}")
     t_norm = float(t_norm)
     return [

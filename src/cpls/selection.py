@@ -15,11 +15,13 @@ the first m1 phi and the first m2 psi members.
   eigenvalue of a principal block is at least that of the whole matrix, so
   the admissible pairs form a down-set: if (m1, m2) passes, so does every
   smaller pair. The scan first tries the corner (max_m1, max_m2); if it
-  passes, the whole rectangle is admissible after one stability event.
-  Otherwise a staircase walk, lowering m2 from max_m2 while the event fails
-  and moving on to the next m1, decides the rectangle; it reuses the
-  corner's outcome, so the scan never makes more than max_m1 + max_m2
-  events.
+  passes, the whole rectangle is admissible after one stability event, as
+  it is in every model 2 x Y (A) scan of the benchmark's ``mc-2A-400``
+  workload. Otherwise a staircase walk, lowering m2 from max_m2 while the
+  event fails and moving on to the next m1, decides the rectangle; it
+  reuses the corner's outcome, so the scan never makes more than
+  max_m1 + max_m2 events (78 in place of 1521 at the 39 x 39 bound) and
+  decides every pair as testing each one would.
 * A design may span fewer rows than the rectangle
   (:func:`cpls.design.build_trimmed_designs`); its builder certifies that
   no admissible pair lies past them, and the scan's tables keep the
@@ -110,7 +112,8 @@ class SelectionResult:
 
     ``gamma``, ``penalty`` and ``admissible`` are M1 x M2 arrays over the
     scan rectangle, entry [m1 - 1, m2 - 1] for pair (m1, m2); ``gamma`` is
-    NaN where the pair is not admissible.
+    NaN where the pair is not admissible. The scan's coefficient array
+    (about 1 MB at 39 x 39) is not kept.
     """
 
     fit: FitResult

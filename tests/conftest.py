@@ -18,6 +18,12 @@ def make_sample(grid: GridSpec, x_rows, y_rows) -> PathSample:
     return PathSample(grid, x, y)
 
 
+def window_length(sample) -> float:
+    """The window length T - t0 of ``sample``'s grid, the time normalizer of the
+    design tests that do not use the protocol's full horizon T."""
+    return sample.grid.total_time - sample.grid.t0
+
+
 @pytest.fixture
 def small_sample():
     """A tiny deterministic sample with values inside [0, 1] for trig bases."""

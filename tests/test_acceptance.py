@@ -34,6 +34,7 @@ from cpls.simulate import (
     make_model,
 )
 
+from conftest import window_length
 from oracles import constrained_qp_nullspace, empirical_norm_sq
 from test_estimator import random_spd_system
 
@@ -281,7 +282,7 @@ def test_criterion_8_norm_identity():
     worst = 0.0
     for s_idx in range(10):
         sample = generate_sample(model, spec, grid, 12, seed=880 + s_idx)
-        gram = build_design(sample, HERMITE, HERMITE, dims).gram
+        gram = build_design(sample, HERMITE, HERMITE, dims, window_length(sample)).gram
         for _ in range(10):
             coeffs = rng.standard_normal(dims.total)
             quad_form = coeffs @ gram @ coeffs

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from cpls import bases, design
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_matrix, eval_rows
-from cpls.design import DesignSystem, DimPair, build_design, build_prefix_designs, inv_opnorm, subsystem
+from cpls.design import DesignSystem, DimPair, build_design, inv_opnorm, subsystem
 from cpls.estimator import StabilityRule, stability_event
 from cpls.simulate import GridSpec, PathSample
 
-from conftest import forced_small_hull, make_sample
+from conftest import forced_small_hull, make_sample, window_length
 from oracles import design_pointwise, empirical_norm_sq, hermite_rows_unflushed
 
 FAMILIES = [HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST]
@@ -31,7 +31,7 @@ class TestDimPair:
 
     def test_exceeding_paths_rejected(self, small_sample):
         with pytest.raises(ValueError):
-            build_design(small_sample, TRIG, TRIG, DimPair(4, 2))
+            build_design(small_sample, TRIG, TRIG, DimPair(4, 2), window_length(small_sample))
 
 
 class TestAssembleGram:
@@ -43,7 +43,7 @@ class TestAssembleGram:
         c = 0.7
         grid = GridSpec(n_steps=6, dt=0.25, drop_first=0)
         sample = make_sample(grid, np.full((2, 7), c), np.zeros((2, 7)))
-        gram = build_design(sample, LAGUERRE, TRIG, DimPair(1, 1)).gram
+        gram = build_design(sample, LAGUERRE, TRIG, DimPair(1, 1), window_length(sample)).gram
         cross = math.sqrt(2.0) * math.exp(-c)
         np.testing.assert_allclose(gram, [[2.0 * math.exp(-2 * c), cross], [cross, 1.0]], rtol=1e-12)
 
@@ -54,7 +54,7 @@ class TestAssembleGram:
         y = np.array([[0.3, 0.6, 0.1], [0.2, 0.7, 0.5]])
         sample = make_sample(grid, x, y)
         dims = DimPair(2, 1)
-        gram = build_design(sample, TRIG, TRIG_NO_CONST, dims).gram
+        gram = build_design(sample, TRIG, TRIG_NO_CONST, dims, window_length(sample)).gram
         t_norm = 2 * 0.5  # T - t0 = 1.0
         k = dims.total
         expected = np.zeros((k, k))
@@ -70,7 +70,7 @@ class TestAssembleGram:
 
     def test_quadratic_form_equals_empirical_norm(self, small_sample):
         dims = DimPair(3, 2)
-        gram = build_design(small_sample, TRIG, TRIG_NO_CONST, dims).gram
+        gram = build_design(small_sample, TRIG, TRIG_NO_CONST, dims, window_length(small_sample)).gram
         rng = np.random.default_rng(0)
         for _ in range(20):
             coeffs = rng.standard_normal(dims.total)
@@ -78,16 +78,17 @@ class TestAssembleGram:
             assert coeffs @ gram @ coeffs == pytest.approx(direct, abs=1e-10, rel=1e-10)
 
     def test_symmetry_and_psd(self, small_sample):
-        gram = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(3, 3)).gram
+        gram = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(3, 3), window_length(small_sample)).gram
         np.testing.assert_allclose(gram, gram.T, atol=1e-12)
         assert np.linalg.eigvalsh(gram)[0] >= -1e-10
 
     def test_nested_subblock_identity(self, small_sample):
-        big = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(3, 3))
+        big = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(3, 3), window_length(small_sample))
         for m1, m2 in [(1, 1), (2, 3), (3, 1), (1, 2)]:
             sub = subsystem(big, DimPair(m1, m2))
-            direct_gram = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2)).gram
-            direct_z = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2)).zvec
+            t_norm = window_length(small_sample)
+            direct_gram = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2), t_norm).gram
+            direct_z = build_design(small_sample, TRIG, TRIG_NO_CONST, DimPair(m1, m2), t_norm).zvec
             np.testing.assert_allclose(sub.gram, direct_gram, atol=1e-12)
             np.testing.assert_allclose(sub.zvec, direct_z, atol=1e-12)
 
@@ -96,7 +97,7 @@ class TestAssembleZ:
     def test_zero_increments_give_zero_vector(self):
         grid = GridSpec(n_steps=3, dt=0.5, drop_first=0)
         sample = make_sample(grid, np.full((2, 4), 0.3), np.random.default_rng(1).random((2, 4)))
-        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(2, 2)).zvec
+        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(2, 2), window_length(sample)).zvec
         np.testing.assert_array_equal(z, np.zeros(4))
 
     def test_single_path_hand_sum(self):
@@ -104,7 +105,7 @@ class TestAssembleZ:
         x = np.array([[0.2, 0.7, 0.4]])
         y = np.array([[0.5, 0.1, 0.9]])
         sample = make_sample(grid, x, y)
-        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(1, 1)).zvec
+        z = build_design(sample, TRIG, TRIG_NO_CONST, DimPair(1, 1), window_length(sample)).zvec
         t_norm = 1.0
         expected_x = (1.0 * (0.7 - 0.2) + 1.0 * (0.4 - 0.7)) / t_norm
         psi_1 = [math.sqrt(2.0) * math.cos(2 * math.pi * y_l) for y_l in (0.5, 0.1)]
@@ -123,8 +124,8 @@ class TestAssembleZ:
         s1 = make_sample(toy_grid, base, y)
         s2 = make_sample(toy_grid, bumped, y)
         dims = DimPair(2, 1)
-        z1 = build_design(s1, TRIG, TRIG_NO_CONST, dims).zvec
-        z2 = build_design(s2, TRIG, TRIG_NO_CONST, dims).zvec
+        z1 = build_design(s1, TRIG, TRIG_NO_CONST, dims, window_length(s1)).zvec
+        z2 = build_design(s2, TRIG, TRIG_NO_CONST, dims, window_length(s2)).zvec
         t_norm = toy_grid.total_time - toy_grid.t0
         v_last = np.concatenate([
             eval_matrix(TRIG, 2, base[0, -2]),
@@ -146,7 +147,7 @@ class TestAssembleZ:
         gaps = np.zeros((n_rep, dims.total))
         for r in range(n_rep):
             s = generate_sample(model, spec, grid, 3, seed=10_000 + r)
-            z = build_design(s, HERMITE, HERMITE, dims).zvec
+            z = build_design(s, HERMITE, HERMITE, dims, window_length(s)).zvec
             # inner product of each basis member with (a, b) under the same
             # left-point rule: sum_l v(s_l) (a(X_l) + b(Y_l)) dt / (N T0)
             lo, hi = grid.drop_first, grid.n_steps
@@ -182,7 +183,7 @@ def test_block_assembly_matches_pointwise_reference(n_paths, n_window, drop, m1,
     shape = (n_paths, grid.n_steps + 1)
     sample = make_sample(grid, rng.uniform(-1.5, 3.0, shape), rng.uniform(-1.5, 3.0, shape))
     dims = DimPair(m1, m2)
-    got = build_design(sample, phi, psi, dims)
+    got = build_design(sample, phi, psi, dims, window_length(sample))
     gram, zvec = design_pointwise(sample, phi, psi, dims, got.t_norm)
     np.testing.assert_array_equal(got.gram, got.gram.T)
     assert np.abs(got.gram - gram).max() <= 1e-13 * np.abs(gram).max()
@@ -223,7 +224,7 @@ def test_prefix_designs_equal_designs_of_prefix_samples(counts, extra, n_window,
     sample = make_sample(grid, rng.uniform(-1.5, 3.0, shape), rng.uniform(-1.5, 3.0, shape))
     dims = DimPair(m1, m2)
     t_norm = grid.total_time
-    got = build_prefix_designs(sample, phi, psi, dims, counts, t_norm)
+    got = design._designs(sample, phi, psi, dims, counts, t_norm, trim=False)
     assert len(got) == len(counts)
     for n, system in zip(counts, got):
         prefix = make_sample(grid, sample.x[:n], sample.y[:n])
@@ -244,9 +245,10 @@ def test_prefix_designs_at_the_benchmark_size():
     sample = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), 1000, seed=4)
     dims = DimPair(39, 39)
     counts = (64, 400, 407, 1000)
-    for n, system in zip(counts, build_prefix_designs(sample, HERMITE, HERMITE, dims, counts)):
+    t_norm = window_length(sample)
+    for n, system in zip(counts, design._designs(sample, HERMITE, HERMITE, dims, counts, t_norm, trim=False)):
         prefix = generate_sample(make_model(2), explanatory_by_name("A"), GridSpec(), n, seed=4)
-        ref = build_design(prefix, HERMITE, HERMITE, dims)
+        ref = build_design(prefix, HERMITE, HERMITE, dims, t_norm)
         np.testing.assert_array_equal(system.gram, ref.gram)
         np.testing.assert_array_equal(system.zvec, ref.zvec)
 
@@ -262,16 +264,17 @@ def test_trimmed_prefix_designs_are_standalone():
     sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 1000, seed=4)
     dims = DimPair(39, 39)
     counts = (130, 150, 400, 1000)
-    got = design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts)
+    t_norm = window_length(sample)
+    got = design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts, t_norm)
     assert got[0].dims == dims and len({d.dims for d in got[1:]}) == 1 and got[1].dims.m2 < dims.m2
     for n, system in zip(counts, got):
         prefix = make_sample(sample.grid, sample.x[:n], sample.y[:n])
-        (ref,) = design.build_trimmed_designs(prefix, HERMITE, HERMITE, dims, (n,))
+        (ref,) = design.build_trimmed_designs(prefix, HERMITE, HERMITE, dims, (n,), t_norm)
         assert system.dims == ref.dims
         np.testing.assert_array_equal(system.gram, ref.gram)
         np.testing.assert_array_equal(system.zvec, ref.zvec)
         np.testing.assert_array_equal(system.dvec, ref.dvec)
-        full = subsystem(build_design(prefix, HERMITE, HERMITE, dims), system.dims)
+        full = subsystem(build_design(prefix, HERMITE, HERMITE, dims, t_norm), system.dims)
         np.testing.assert_allclose(system.gram, full.gram, rtol=0, atol=1e-12 * np.abs(full.gram).max())
         np.testing.assert_allclose(system.zvec, full.zvec, rtol=0, atol=1e-12 * np.abs(full.zvec).max())
 
@@ -303,8 +306,9 @@ def test_stream_designs_equal_the_sample_designs(monkeypatch, forced_fallback):
     stream.chunks = counting_chunks
     dims = DimPair(39, 39)
     counts = (130, 256, 260, 512, 600)
-    want = design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts)
-    got = design.build_trimmed_designs(stream, HERMITE, HERMITE, dims, counts)
+    t_norm = window_length(sample)
+    want = design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts, t_norm)
+    got = design.build_trimmed_designs(stream, HERMITE, HERMITE, dims, counts, t_norm)
     assert passes == ([600, 600] if forced_fallback else [600])
     assert got[0].dims == dims and (got[-1].dims == dims) == forced_fallback
     for system, ref in zip(got, want):
@@ -348,7 +352,7 @@ def test_trimmed_designs_fail_the_floor_at_the_cut(model_id, y_type):
     sides = 0
     for seed in range(3):
         sample = generate_sample(make_model(model_id), explanatory_by_name(y_type), GridSpec(), 1000, seed=seed)
-        for system in design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, (400, 1000)):
+        for system in design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, (400, 1000), window_length(sample)):
             e1, e2 = system.dims
             for cut, pair in [(e1 < dims.m1, DimPair(e1, 1)), (e2 < dims.m2, DimPair(1, e2))]:
                 if cut:
@@ -367,10 +371,11 @@ def test_failed_certificate_gives_the_full_designs(monkeypatch):
     sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 1000, seed=4)
     dims = DimPair(39, 39)
     counts = (130, 150, 400, 1000)
-    cut = design._designs(sample, HERMITE, HERMITE, dims, counts, None, trim=True)
+    t_norm = window_length(sample)
+    cut = design._designs(sample, HERMITE, HERMITE, dims, counts, t_norm, trim=True)
     assert [d.dims for d in cut] == [dims] + [DimPair(10, 10)] * 3
-    for n, system in zip(counts, design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts)):
-        ref = build_design(make_sample(sample.grid, sample.x[:n], sample.y[:n]), HERMITE, HERMITE, dims)
+    for n, system in zip(counts, design.build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts, t_norm)):
+        ref = build_design(make_sample(sample.grid, sample.x[:n], sample.y[:n]), HERMITE, HERMITE, dims, t_norm)
         assert system.dims == dims
         np.testing.assert_array_equal(system.gram, ref.gram)
         np.testing.assert_array_equal(system.zvec, ref.zvec)
@@ -413,7 +418,7 @@ def test_design_sums_blocks_in_order():
     assert design._PATH_BLOCK == 16
     sample = _benchmark_sample(200, seed=6)
     dims = DimPair(39, 39)
-    got = build_design(sample, HERMITE, HERMITE, dims)
+    got = build_design(sample, HERMITE, HERMITE, dims, window_length(sample))
     gram, zvec = _design_in_block_order(sample, HERMITE, HERMITE, dims, got.t_norm)
     np.testing.assert_array_equal(got.gram, gram)
     np.testing.assert_array_equal(got.zvec, zvec)
@@ -430,7 +435,7 @@ def test_hermite_zero_tail_keeps_the_design_bits():
     assert np.mean(np.abs(sample.y[:, lo:hi]) > bases._HERMITE_TAIL) > 0.2
     dims = DimPair(39, 39)
     assert design._block_rows(dims.total + 1) == 80
-    got = build_design(sample, HERMITE, HERMITE, dims)
+    got = build_design(sample, HERMITE, HERMITE, dims, window_length(sample))
     gram, zvec = _design_in_block_order(
         sample, HERMITE, HERMITE, dims, got.t_norm, lambda family, m, x: hermite_rows_unflushed(m, x)
     )
@@ -443,12 +448,13 @@ def test_concurrent_designs_equal_lone_designs():
     # often: every design keeps the bits of a call made alone.
     samples = [_benchmark_sample(40 + 9 * i, seed=i) for i in range(4)]
     dims = DimPair(12, 12)
-    lone = [build_design(s, HERMITE, TRIG, dims) for s in samples]
+    lone = [build_design(s, HERMITE, TRIG, dims, window_length(s)) for s in samples]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(len(samples)) as pool:
-            futures = [pool.submit(build_design, s, HERMITE, TRIG, dims) for s in samples for _ in range(3)]
+            futures = [pool.submit(build_design, s, HERMITE, TRIG, dims, window_length(s))
+                       for s in samples for _ in range(3)]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -462,7 +468,7 @@ def test_concurrent_designs_equal_lone_designs():
 def test_prefix_counts_must_increase_within_the_sample(small_sample, counts):
     sample = make_sample(small_sample.grid, np.tile(small_sample.x, (4, 1)), np.tile(small_sample.y, (4, 1)))
     with pytest.raises(ValueError):
-        build_prefix_designs(sample, TRIG, TRIG_NO_CONST, DimPair(1, 1), counts)
+        design.build_trimmed_designs(sample, TRIG, TRIG_NO_CONST, DimPair(1, 1), counts, window_length(sample))
 
 
 _DESIGN_CHILD = """
@@ -472,7 +478,7 @@ from cpls.design import DimPair, build_design
 from cpls.simulate import GridSpec, explanatory_by_name, generate_sample, make_model
 
 sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 1000, seed=5)
-system = build_design(sample, HERMITE, HERMITE, DimPair(39, 39))
+system = build_design(sample, HERMITE, HERMITE, DimPair(39, 39), sample.grid.total_time - sample.grid.t0)
 print(hashlib.sha256(system.gram.tobytes() + system.zvec.tobytes()).hexdigest())
 """
 

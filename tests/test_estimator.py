@@ -17,6 +17,7 @@ from cpls.estimator import (
 )
 from cpls.simulate import GridSpec, explanatory_by_name, generate_sample, make_model
 
+from conftest import window_length
 from oracles import constrained_qp_nullspace, quadratic_objective
 
 
@@ -219,7 +220,7 @@ class TestEvaluateFit:
         grid = GridSpec(n_steps=100, dt=0.05, drop_first=5)
         model = make_model(3)
         sample = generate_sample(model, explanatory_by_name("B"), grid, 50, seed=3)
-        system = build_design(sample, HERMITE, HERMITE, DimPair(3, 4))
+        system = build_design(sample, HERMITE, HERMITE, DimPair(3, 4), window_length(sample))
         fit = solve_constrained(system)
         yg, wy = simpson_grid(-20.0, 20.0, 40001)
         _, b_vals = evaluate_fit(fit, HERMITE, HERMITE, np.zeros(1), yg)

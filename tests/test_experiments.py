@@ -25,7 +25,7 @@ from cpls.experiments import (
 from cpls.selection import SelectionConfig, scan_design, scan_dimension_grid, select_adaptive, select_oracle_from_scan
 from cpls.simulate import GridSpec, SdeModel, explanatory_by_name, generate_sample, make_model
 
-from conftest import flaky_quantile_box, forced_small_hull, make_sample
+from conftest import flaky_quantile_box, forced_small_hull, make_sample, window_length
 from oracles import scan_from_fits
 
 
@@ -162,9 +162,9 @@ class TestRunExperiment:
     def test_spawned_worker_assembles_the_same_design(self):
         sample = generate_sample(make_model(1), explanatory_by_name("B"), GridSpec(), 64, seed=3)
         dims = DimPair(39, 39)
-        serial = build_design(sample, HERMITE, HERMITE, dims)
+        serial = build_design(sample, HERMITE, HERMITE, dims, window_length(sample))
         with worker_pool(1) as pool:
-            spawned = pool.submit(build_design, sample, HERMITE, HERMITE, dims).result()
+            spawned = pool.submit(build_design, sample, HERMITE, HERMITE, dims, window_length(sample)).result()
         np.testing.assert_array_equal(serial.gram, spawned.gram)
         np.testing.assert_array_equal(serial.zvec, spawned.zvec)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpls.bases import HERMITE, LAGUERRE, TRIG, TRIG_NO_CONST, eval_rows, simpson_grid, sup_norm_bound
-from cpls.design import DesignSystem, DimPair, build_design, build_prefix_designs, build_trimmed_designs, subsystem
+from cpls.design import DesignSystem, DimPair, build_design, build_trimmed_designs, subsystem
 from cpls.estimator import (
     FitResult,
     SingularDesignError,
@@ -37,7 +37,7 @@ from cpls.simulate import (
     make_model,
 )
 
-from conftest import make_sample
+from conftest import make_sample, window_length
 from oracles import box_errors_by_quadrature, pair_residuals, scan_from_fits, scan_pairwise
 
 
@@ -693,7 +693,8 @@ def test_trimmed_scan_matches_the_full_scan(model_id, y_type):
         box = quantile_box(sample)
         t_norm = sample.grid.total_time
         cut = build_trimmed_designs(sample, cfg.phi, cfg.psi, bounds, counts, t_norm)
-        full = build_prefix_designs(sample, cfg.phi, cfg.psi, bounds, counts, t_norm)
+        full = [build_design(make_sample(sample.grid, sample.x[:n], sample.y[:n]), cfg.phi, cfg.psi, bounds, t_norm)
+                for n in counts]
         assert [d.dims.m2 < bounds.m2 for d in cut] == [y_type == "B"] * 2
         for n, trimmed, design in zip(counts, cut, full):
             got = scan_design(trimmed, n, cfg.phi, cfg.psi, cfg.selection, bounds)
@@ -721,8 +722,9 @@ def test_untrimmed_designs_keep_their_bits():
     sample = generate_sample(make_model(3), explanatory_by_name("B"), GridSpec(), 144, seed=3)
     counts = (64, 128, 144)
     dims = DimPair(39, 39)
-    for got, full in zip(build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts),
-                         build_prefix_designs(sample, HERMITE, HERMITE, dims, counts)):
+    t_norm = window_length(sample)
+    for n, got in zip(counts, build_trimmed_designs(sample, HERMITE, HERMITE, dims, counts, t_norm)):
+        full = build_design(make_sample(sample.grid, sample.x[:n], sample.y[:n]), HERMITE, HERMITE, dims, t_norm)
         assert got.dims == dims
         np.testing.assert_array_equal(got.gram, full.gram)
         np.testing.assert_array_equal(got.zvec, full.zvec)
